@@ -7,8 +7,8 @@
 //
 //  - whole:    one ranged read of the entire BLOB, slice, decode —
 //              maximum batching, whole object resident;
-//  - sync:     Interpretation::Materialize (one ranged read per
-//              element) + DecodeStream — the pre-streaming read path;
+//  - sync:     an Interpretation::ReadElement loop (one ranged read
+//              per element) + DecodeStream — the pre-streaming read path;
 //  - depth N:  DecodeStreamed with chunked reads and a prefetch depth
 //              of N (N = 1, 4, 16), decode overlapping store I/O.
 //
@@ -89,15 +89,23 @@ double MeasureWholeObjectMs(const BlobStore& store,
   return best;
 }
 
-/// Baseline B: the pre-streaming path — one ranged read per element,
-/// then decode the assembled stream.
+/// Baseline B: the pre-streaming path — one ranged read per element
+/// (ReadElement), then decode the assembled stream.
 double MeasureSyncElementsMs(const BlobStore& store,
                              const Interpretation& interp,
                              const std::string& name) {
   double best = 1e300;
   for (int rep = 0; rep < kRepetitions; ++rep) {
     double start = NowMs();
-    TimedStream stream = ValueOrDie(interp.Materialize(store, name), "mat");
+    const InterpretedObject* object =
+        ValueOrDie(interp.FindObject(name), "find");
+    TimedStream stream(object->descriptor, object->time_system);
+    for (size_t i = 0; i < object->elements.size(); ++i) {
+      CheckOk(stream.Append(ValueOrDie(
+                  interp.ReadElement(store, name, static_cast<int64_t>(i)),
+                  "read element")),
+              "append");
+    }
     MediaValue value = ValueOrDie(DecodeStream(stream), "decode");
     if (FrameCount(value) != kFrames) std::abort();
     best = std::min(best, NowMs() - start);

@@ -75,7 +75,7 @@ void PrintAblation() {
     auto db = OpenDb(dir);
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kSingleCommits; ++i) {
-      ValueOrDie(db->AddEntity("e" + std::to_string(i), {}), "add");
+      ValueOrDie(db->AddEntity('e' + std::to_string(i), {}), "add");
     }
     auto t1 = std::chrono::steady_clock::now();
     double s = Seconds(t0, t1);
@@ -92,7 +92,7 @@ void PrintAblation() {
     auto db = OpenDb(dir, options);
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kSingleCommits; ++i) {
-      ValueOrDie(db->AddEntity("e" + std::to_string(i), {}), "add");
+      ValueOrDie(db->AddEntity('e' + std::to_string(i), {}), "add");
     }
     auto t1 = std::chrono::steady_clock::now();
     double s = Seconds(t0, t1);
@@ -114,7 +114,7 @@ void PrintAblation() {
       writers.emplace_back([&db, t] {
         for (int i = 0; i < kGroupPerThread; ++i) {
           ValueOrDie(db->AddEntity(
-                         "w" + std::to_string(t) + "_" + std::to_string(i),
+                         'w' + std::to_string(t) + '_' + std::to_string(i),
                          {}),
                      "add");
         }
@@ -146,7 +146,7 @@ void PrintAblation() {
     {
       auto db = OpenDb(dir, nosync);
       for (int i = 0; i < kReplayRecords; ++i) {
-        ValueOrDie(db->AddEntity("r" + std::to_string(i), {}), "add");
+        ValueOrDie(db->AddEntity('r' + std::to_string(i), {}), "add");
       }
     }
     {
@@ -187,7 +187,7 @@ void BM_CommitSync(benchmark::State& state) {
   auto db = OpenDb(dir);
   int i = 0;
   for (auto _ : state) {
-    ValueOrDie(db->AddEntity("e" + std::to_string(i++), {}), "add");
+    ValueOrDie(db->AddEntity('e' + std::to_string(i++), {}), "add");
   }
   state.SetItemsProcessed(state.iterations());
   db.reset();
@@ -202,7 +202,7 @@ void BM_CommitNoSync(benchmark::State& state) {
   auto db = OpenDb(dir, options);
   int i = 0;
   for (auto _ : state) {
-    ValueOrDie(db->AddEntity("e" + std::to_string(i++), {}), "add");
+    ValueOrDie(db->AddEntity('e' + std::to_string(i++), {}), "add");
   }
   state.SetItemsProcessed(state.iterations());
   db.reset();
@@ -222,7 +222,7 @@ void BM_GroupCommit(benchmark::State& state) {
   }
   for (auto _ : state) {
     int i = name_counter.fetch_add(1, std::memory_order_relaxed);
-    ValueOrDie(db->AddEntity("g" + std::to_string(i), {}), "add");
+    ValueOrDie(db->AddEntity('g' + std::to_string(i), {}), "add");
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
@@ -243,7 +243,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
     options.checkpoint_threshold_bytes = 0;
     auto db = OpenDb(dir, options);
     for (int i = 0; i < kRecords; ++i) {
-      ValueOrDie(db->AddEntity("r" + std::to_string(i), {}), "add");
+      ValueOrDie(db->AddEntity('r' + std::to_string(i), {}), "add");
     }
   }
   wal::WalOptions options;

@@ -85,7 +85,7 @@ void PrintClaim() {
               "video bytes (enc)", "ratio");
   for (int edits : {1, 4, 16, 64}) {
     ObjectId chain = BuildEditChain(corpus.db.get(), corpus.video, edits,
-                                    "p" + std::to_string(edits));
+                                    'p' + std::to_string(edits));
     uint64_t record =
         ValueOrDie(corpus.db->DerivationRecordBytes(chain), "record");
     std::printf("%8d %16llu %18llu %9.0fx\n", edits,
@@ -145,7 +145,7 @@ void BM_ExpandEditChain(benchmark::State& state) {
   ObjectId chain =
       BuildEditChain(corpus.db.get(), corpus.video,
                      static_cast<int>(state.range(0)),
-                     "x" + std::to_string(run++) + "_" +
+                     'x' + std::to_string(run++) + "_" +
                          std::to_string(state.range(0)));
   for (auto _ : state) {
     auto value = corpus.db->Materialize(chain);

@@ -127,7 +127,7 @@ void PrintTiming() {
     AdmissionController controller(2.0e6, policy);
     int admitted = 0;
     while (controller
-               .Admit("s" + std::to_string(admitted), session_desc)
+               .Admit('s' + std::to_string(admitted), session_desc)
                .ok()) {
       ++admitted;
     }

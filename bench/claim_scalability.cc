@@ -15,6 +15,7 @@
 #include "codec/tmpeg.h"
 #include "db/codec_bridge.h"
 #include "interp/index.h"
+#include "interp/streaming.h"
 
 namespace tbm {
 namespace {
@@ -119,7 +120,7 @@ BENCHMARK(BM_LayeredFullDecode)->Unit(benchmark::kMillisecond);
 void BM_FullFidelityDecode(benchmark::State& state) {
   StoredClip clip = MakeClip(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto stream = clip.interp.Materialize(clip.store, "clip");
+    auto stream = MaterializeStreamed(clip.store, clip.interp, "clip");
     CheckOk(stream.status(), "materialize");
     auto value = DecodeStream(*stream);
     CheckOk(value.status(), "decode");

@@ -131,7 +131,7 @@ void PrintQueries() {
   // Query 2: select a specific duration.
   ObjectId video = ValueOrDie(db->FindByName("movie3_video"), "video");
   auto span = ValueOrDie(
-      db->MaterializeStreamSpan(video, TickSpan{5, 10}), "span");
+      db->MaterializeStream(video, TickSpan{5, 10}), "span");
   std::printf("Q2 'select frames [5,15) of movie3': %zu elements\n",
               span.size());
 
@@ -212,7 +212,7 @@ void BM_DurationQuery(benchmark::State& state) {
   MovieCatalog& catalog = Catalog();
   auto video = ValueOrDie(catalog.db->FindByName("movie7_video"), "video");
   for (auto _ : state) {
-    auto span = catalog.db->MaterializeStreamSpan(
+    auto span = catalog.db->MaterializeStream(
         video, TickSpan{5, static_cast<int64_t>(state.range(0))});
     CheckOk(span.status(), "span");
     benchmark::DoNotOptimize(span->size());

@@ -12,6 +12,7 @@
 #include "codec/synthetic.h"
 #include "interp/av_capture.h"
 #include "interp/index.h"
+#include "interp/streaming.h"
 #include "stream/category.h"
 
 namespace tbm {
@@ -59,7 +60,7 @@ void PrintFigure2() {
 
   for (const InterpretedObject& object : interp.objects()) {
     TimedStream stream = ValueOrDie(
-        interp.Materialize(e.store, object.name), "materialize");
+        MaterializeStreamed(e.store, interp, object.name), "materialize");
     StreamCategories cats = Classify(stream);
     MediaDescriptor desc = object.descriptor;
     desc.attrs.SetString("category", cats.ToString());
@@ -159,8 +160,8 @@ BENCHMARK(BM_MaterializeVideoElement);
 void BM_MaterializeSpan(benchmark::State& state) {
   CapturedExample& e = Example();
   for (auto _ : state) {
-    auto span = e.result.interpretation.MaterializeSpan(
-        e.store, "audio1", TickSpan{44100 / 2, 44100 / 4});
+    auto span = MaterializeStreamed(e.store, e.result.interpretation, "audio1",
+                                    {}, TickSpan{44100 / 2, 44100 / 4});
     bench::CheckOk(span.status(), "span");
     benchmark::DoNotOptimize(span->size());
   }

@@ -243,8 +243,8 @@ void BM_TimelineVsComponentCount(benchmark::State& state) {
   const int64_t n = state.range(0);
   for (int64_t i = 0; i < n; ++i) {
     NodeId leaf = graph.AddLeaf(
-        audiogen::Sine(8000, 1, 220.0 + i, 0.1, 0.5), "a" + std::to_string(i));
-    CheckOk(mm.AddComponent("c" + std::to_string(i), leaf, Rational(i, 4)),
+        audiogen::Sine(8000, 1, 220.0 + i, 0.1, 0.5), 'a' + std::to_string(i));
+    CheckOk(mm.AddComponent('c' + std::to_string(i), leaf, Rational(i, 4)),
             "component");
   }
   CheckOk(mm.Timeline().status(), "warm");

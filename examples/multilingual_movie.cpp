@@ -128,7 +128,7 @@ int main() {
 
   // --- Query 2: select a specific duration -----------------------------------
   std::printf("\nQ2: select seconds [1.0, 2.0) of the video\n");
-  UNWRAP(span, db->MaterializeStreamSpan(video_id, TickSpan{25, 25}));
+  UNWRAP(span, db->MaterializeStream(video_id, TickSpan{25, 25}));
   std::printf("  -> %zu frames materialized (of %lld), first start = %lld\n",
               span.size(), (long long)kFrames, (long long)span.at(0).start);
 

@@ -69,7 +69,7 @@ int main() {
               HumanRate(video_stream.MeanDataRate()).c_str());
 
   // 6. A structural query: frames [10, 20) only — no full-BLOB read.
-  UNWRAP(span, db->MaterializeStreamSpan(video_id, TickSpan{10, 10}));
+  UNWRAP(span, db->MaterializeStream(video_id, TickSpan{10, 10}));
   std::printf("\nduration query: materialized %zu of %zu elements\n",
               span.size(), video_stream.size());
 

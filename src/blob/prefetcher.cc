@@ -33,8 +33,13 @@ struct PrefetchMetrics {
 }  // namespace
 
 AsyncPrefetcher::AsyncPrefetcher(std::unique_ptr<ChunkReader> reader,
-                                 ThreadPool* pool, PrefetchOptions options)
-    : reader_(std::move(reader)), pool_(pool), options_(options) {
+                                 ThreadPool* pool, PrefetchOptions options,
+                                 uint64_t first_chunk)
+    : reader_(std::move(reader)),
+      pool_(pool),
+      options_(options),
+      next_consume_(first_chunk),
+      next_schedule_(first_chunk) {
   if (options_.max_inflight_bytes == 0) options_.max_inflight_bytes = 1;
   if (pool_ != nullptr && options_.depth > 0) {
     std::lock_guard<std::mutex> lock(mu_);

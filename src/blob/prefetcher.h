@@ -43,8 +43,9 @@ struct PrefetchStats {
 
 /// Asynchronous sequential readahead over a ChunkReader.
 ///
-/// The consumer calls Next() to receive chunks 0, 1, 2, … in order;
-/// the prefetcher keeps up to `depth` further chunks in flight on the
+/// The consumer calls Next() to receive chunks f, f+1, f+2, … in order
+/// (f = the constructor's `first_chunk`, usually 0); the prefetcher
+/// keeps up to `depth` further chunks in flight on the
 /// thread pool, bounded by `max_inflight_bytes`. When I/O latency and
 /// decode cost are comparable, this overlaps them almost completely —
 /// playback touches elements in timestamp order at a constant rate
@@ -60,10 +61,11 @@ struct PrefetchStats {
 class AsyncPrefetcher {
  public:
   /// `reader` is owned; `pool` is borrowed and may be null (synchronous
-  /// mode). The underlying store must stay alive and unmutated for the
-  /// prefetcher's lifetime.
+  /// mode). Delivery starts at chunk `first_chunk`; nothing before it
+  /// is read. The underlying store must stay alive and unmutated for
+  /// the prefetcher's lifetime.
   AsyncPrefetcher(std::unique_ptr<ChunkReader> reader, ThreadPool* pool,
-                  PrefetchOptions options = {});
+                  PrefetchOptions options = {}, uint64_t first_chunk = 0);
 
   /// Blocks until outstanding chunk reads finish.
   ~AsyncPrefetcher();

@@ -23,14 +23,41 @@ Result<ColorModel> ParseColorModel(const std::string& name) {
   return Status::InvalidArgument("unknown color model \"" + name + "\"");
 }
 
-Result<MediaValue> DecodePcm(const TimedStream& stream) {
+// The decoders below are written once over an element source: anything
+// with descriptor(), Done() and Next() -> Result<StreamElement>,
+// delivering elements in element order. ElementStream is the source
+// when decoding straight from storage; TimedStreamCursor when the
+// stream is already materialized.
+
+/// Element source over an in-memory timed stream.
+struct TimedStreamCursor {
+  const TimedStream& stream;
+  size_t next = 0;
+
+  const MediaDescriptor& descriptor() const { return stream.descriptor(); }
+  bool Done() const { return next >= stream.size(); }
+  Result<StreamElement> Next() { return stream.at(next++); }
+};
+
+/// The whole of an unread source: whole-stream decoders (images, MIDI,
+/// scenes, timed text) need every element at once.
+Result<TimedStream> Drain(ElementStream& source) {
+  return MaterializeStreamed(&source);
+}
+Result<TimedStream> Drain(const TimedStreamCursor& source) {
+  return source.stream;
+}
+
+template <typename Source>
+Result<MediaValue> DecodePcm(Source& source) {
   TBM_ASSIGN_OR_RETURN(int64_t rate,
-                       stream.descriptor().attrs.GetInt("sample rate"));
+                       source.descriptor().attrs.GetInt("sample rate"));
   TBM_ASSIGN_OR_RETURN(
       int64_t channels,
-      stream.descriptor().attrs.GetInt("number of channels"));
+      source.descriptor().attrs.GetInt("number of channels"));
   Bytes bytes;
-  for (const StreamElement& element : stream) {
+  while (!source.Done()) {
+    TBM_ASSIGN_OR_RETURN(StreamElement element, source.Next());
     bytes.insert(bytes.end(), element.data.begin(), element.data.end());
   }
   TBM_ASSIGN_OR_RETURN(
@@ -39,16 +66,18 @@ Result<MediaValue> DecodePcm(const TimedStream& stream) {
   return MediaValue(std::move(audio));
 }
 
-Result<MediaValue> DecodeAdpcm(const TimedStream& stream) {
+template <typename Source>
+Result<MediaValue> DecodeAdpcm(Source& source) {
   TBM_ASSIGN_OR_RETURN(int64_t rate,
-                       stream.descriptor().attrs.GetInt("sample rate"));
+                       source.descriptor().attrs.GetInt("sample rate"));
   TBM_ASSIGN_OR_RETURN(
       int64_t channels,
-      stream.descriptor().attrs.GetInt("number of channels"));
+      source.descriptor().attrs.GetInt("number of channels"));
   std::vector<AdpcmBlock> blocks;
-  for (const StreamElement& element : stream) {
+  while (!source.Done()) {
+    TBM_ASSIGN_OR_RETURN(StreamElement element, source.Next());
     AdpcmBlock block;
-    block.data = element.data;
+    block.data = std::move(element.data);
     block.frames = element.duration;
     for (int32_t c = 0; c < channels; ++c) {
       std::string suffix = c == 0 ? "" : std::to_string(c);
@@ -86,41 +115,47 @@ void SortTmpegForDecode(std::vector<TmpegFrame>* frames) {
                    });
 }
 
-Result<MediaValue> DecodeVideo(const TimedStream& stream,
-                               const std::string& type) {
+template <typename Source>
+Result<MediaValue> DecodeVideo(Source& source, const std::string& type) {
   TBM_ASSIGN_OR_RETURN(Rational rate,
-                       stream.descriptor().attrs.GetRational("frame rate"));
+                       source.descriptor().attrs.GetRational("frame rate"));
   VideoValue video;
   video.frame_rate = rate;
   if (type == "video/raw") {
     TBM_ASSIGN_OR_RETURN(int64_t width,
-                         stream.descriptor().attrs.GetInt("frame width"));
+                         source.descriptor().attrs.GetInt("frame width"));
     TBM_ASSIGN_OR_RETURN(int64_t height,
-                         stream.descriptor().attrs.GetInt("frame height"));
-    for (const StreamElement& element : stream) {
+                         source.descriptor().attrs.GetInt("frame height"));
+    while (!source.Done()) {
+      TBM_ASSIGN_OR_RETURN(StreamElement element, source.Next());
       Image frame;
       frame.width = static_cast<int32_t>(width);
       frame.height = static_cast<int32_t>(height);
       frame.model = ColorModel::kRgb24;
-      frame.data = element.data;
+      frame.data = std::move(element.data);
       TBM_RETURN_IF_ERROR(frame.Validate());
       video.frames.push_back(std::move(frame));
     }
   } else if (type == "video/tjpeg") {
-    for (const StreamElement& element : stream) {
+    // Each frame decodes as soon as its bytes arrive — over a
+    // prefetching ElementStream, the decode of frame i overlaps the
+    // reads of frames i+1..i+depth.
+    while (!source.Done()) {
+      TBM_ASSIGN_OR_RETURN(StreamElement element, source.Next());
       TBM_ASSIGN_OR_RETURN(Image frame, TjpegDecode(element.data));
       video.frames.push_back(std::move(frame));
     }
-  } else if (type == "video/tmpeg") {
+  } else {
+    // Interframe coding needs references before dependents, so only
+    // the parse is incremental; the sequence decode runs at the end.
     std::vector<TmpegFrame> frames;
-    for (const StreamElement& element : stream) {
+    while (!source.Done()) {
+      TBM_ASSIGN_OR_RETURN(StreamElement element, source.Next());
       TBM_ASSIGN_OR_RETURN(TmpegFrame frame, TmpegParseFrame(element.data));
       frames.push_back(std::move(frame));
     }
     SortTmpegForDecode(&frames);
     TBM_ASSIGN_OR_RETURN(video.frames, TmpegDecodeSequence(frames));
-  } else {
-    return Status::Unsupported("unknown video type " + type);
   }
   return MediaValue(std::move(video));
 }
@@ -149,133 +184,48 @@ Result<MediaValue> DecodeImage(const TimedStream& stream,
   return MediaValue(std::move(image));
 }
 
-}  // namespace
-
-Result<MediaValue> DecodeStream(const TimedStream& stream) {
-  obs::ScopedSpan span("codec.decode_stream");
-  const std::string& type = stream.descriptor().type_name;
+/// The media-type dispatch: decodes `source` into its typed value.
+template <typename Source>
+Result<MediaValue> Decode(Source& source) {
+  const std::string type = source.descriptor().type_name;
   if (type == "audio/pcm" || type == "audio/pcm-block") {
-    return DecodePcm(stream);
+    return DecodePcm(source);
   }
-  if (type == "audio/adpcm") return DecodeAdpcm(stream);
+  if (type == "audio/adpcm") return DecodeAdpcm(source);
   if (type == "video/raw" || type == "video/tjpeg" || type == "video/tmpeg") {
-    return DecodeVideo(stream, type);
+    return DecodeVideo(source, type);
   }
   if (type == "image/raw" || type == "image/tjpeg") {
+    TBM_ASSIGN_OR_RETURN(TimedStream stream, Drain(source));
     return DecodeImage(stream, type);
   }
   if (type == "music/midi") {
+    TBM_ASSIGN_OR_RETURN(TimedStream stream, Drain(source));
     TBM_ASSIGN_OR_RETURN(MidiSequence midi,
                          MidiSequence::FromEventStream(stream));
     return MediaValue(std::move(midi));
   }
   if (type == "animation/scene") {
+    TBM_ASSIGN_OR_RETURN(TimedStream stream, Drain(source));
     TBM_ASSIGN_OR_RETURN(AnimationScene scene,
                          AnimationScene::FromSceneStream(stream));
     return MediaValue(std::move(scene));
   }
   if (type == "text/captions" || type == "text/plain") {
     // Timed text needs no decoding: the stream is its working form.
-    return MediaValue(stream);
+    TBM_ASSIGN_OR_RETURN(TimedStream stream, Drain(source));
+    return MediaValue(std::move(stream));
   }
   return Status::Unsupported("no decoder for media type \"" + type + "\"");
 }
 
-namespace {
-
-Result<MediaValue> DecodePcmStreamed(ElementStream* stream) {
-  TBM_ASSIGN_OR_RETURN(int64_t rate,
-                       stream->descriptor().attrs.GetInt("sample rate"));
-  TBM_ASSIGN_OR_RETURN(
-      int64_t channels,
-      stream->descriptor().attrs.GetInt("number of channels"));
-  Bytes bytes;
-  while (!stream->Done()) {
-    TBM_ASSIGN_OR_RETURN(StreamElement element, stream->Next());
-    bytes.insert(bytes.end(), element.data.begin(), element.data.end());
-  }
-  TBM_ASSIGN_OR_RETURN(
-      AudioBuffer audio,
-      AudioBuffer::FromBytes(bytes, rate, static_cast<int32_t>(channels)));
-  return MediaValue(std::move(audio));
-}
-
-Result<MediaValue> DecodeAdpcmStreamed(ElementStream* stream) {
-  TBM_ASSIGN_OR_RETURN(int64_t rate,
-                       stream->descriptor().attrs.GetInt("sample rate"));
-  TBM_ASSIGN_OR_RETURN(
-      int64_t channels,
-      stream->descriptor().attrs.GetInt("number of channels"));
-  std::vector<AdpcmBlock> blocks;
-  while (!stream->Done()) {
-    TBM_ASSIGN_OR_RETURN(StreamElement element, stream->Next());
-    AdpcmBlock block;
-    block.data = std::move(element.data);
-    block.frames = element.duration;
-    for (int32_t c = 0; c < channels; ++c) {
-      std::string suffix = c == 0 ? "" : std::to_string(c);
-      TBM_ASSIGN_OR_RETURN(int64_t predictor,
-                           element.descriptor.GetInt("predictor" + suffix));
-      TBM_ASSIGN_OR_RETURN(int64_t step,
-                           element.descriptor.GetInt("step index" + suffix));
-      block.predictor.push_back(static_cast<int16_t>(predictor));
-      block.step_index.push_back(static_cast<uint8_t>(step));
-    }
-    blocks.push_back(std::move(block));
-  }
-  TBM_ASSIGN_OR_RETURN(
-      AudioBuffer audio,
-      AdpcmDecode(blocks, rate, static_cast<int32_t>(channels)));
-  return MediaValue(std::move(audio));
-}
-
-Result<MediaValue> DecodeVideoStreamed(ElementStream* stream,
-                                       const std::string& type) {
-  TBM_ASSIGN_OR_RETURN(Rational rate,
-                       stream->descriptor().attrs.GetRational("frame rate"));
-  VideoValue video;
-  video.frame_rate = rate;
-  if (type == "video/raw") {
-    TBM_ASSIGN_OR_RETURN(int64_t width,
-                         stream->descriptor().attrs.GetInt("frame width"));
-    TBM_ASSIGN_OR_RETURN(int64_t height,
-                         stream->descriptor().attrs.GetInt("frame height"));
-    while (!stream->Done()) {
-      TBM_ASSIGN_OR_RETURN(StreamElement element, stream->Next());
-      Image frame;
-      frame.width = static_cast<int32_t>(width);
-      frame.height = static_cast<int32_t>(height);
-      frame.model = ColorModel::kRgb24;
-      frame.data = std::move(element.data);
-      TBM_RETURN_IF_ERROR(frame.Validate());
-      video.frames.push_back(std::move(frame));
-    }
-  } else if (type == "video/tjpeg") {
-    // Each frame decodes as soon as its bytes arrive — the decode of
-    // frame i overlaps the prefetch of frames i+1..i+depth.
-    while (!stream->Done()) {
-      TBM_ASSIGN_OR_RETURN(StreamElement element, stream->Next());
-      TBM_ASSIGN_OR_RETURN(Image frame, TjpegDecode(element.data));
-      video.frames.push_back(std::move(frame));
-    }
-  } else if (type == "video/tmpeg") {
-    // Interframe coding needs references before dependents, so only
-    // the parse is incremental; the sequence decode runs at the end.
-    std::vector<TmpegFrame> frames;
-    while (!stream->Done()) {
-      TBM_ASSIGN_OR_RETURN(StreamElement element, stream->Next());
-      TBM_ASSIGN_OR_RETURN(TmpegFrame frame, TmpegParseFrame(element.data));
-      frames.push_back(std::move(frame));
-    }
-    SortTmpegForDecode(&frames);
-    TBM_ASSIGN_OR_RETURN(video.frames, TmpegDecodeSequence(frames));
-  } else {
-    return Status::Unsupported("unknown video type " + type);
-  }
-  return MediaValue(std::move(video));
-}
-
 }  // namespace
+
+Result<MediaValue> DecodeStream(const TimedStream& stream) {
+  obs::ScopedSpan span("codec.decode_stream");
+  TimedStreamCursor cursor{stream};
+  return Decode(cursor);
+}
 
 Result<MediaValue> DecodeStreamed(const BlobStore& store,
                                   const Interpretation& interpretation,
@@ -286,26 +236,7 @@ Result<MediaValue> DecodeStreamed(const BlobStore& store,
   TBM_ASSIGN_OR_RETURN(
       std::unique_ptr<ElementStream> stream,
       ElementStream::Open(store, interpretation, name, options));
-
-  const std::string type = stream->descriptor().type_name;
-  Result<MediaValue> value = [&]() -> Result<MediaValue> {
-    if (type == "audio/pcm" || type == "audio/pcm-block") {
-      return DecodePcmStreamed(stream.get());
-    }
-    if (type == "audio/adpcm") return DecodeAdpcmStreamed(stream.get());
-    if (type == "video/raw" || type == "video/tjpeg" ||
-        type == "video/tmpeg") {
-      return DecodeVideoStreamed(stream.get(), type);
-    }
-    // Whole-stream decoders (images, MIDI, scenes, timed text) still
-    // benefit from the chunked, prefetched read path.
-    TimedStream assembled(stream->descriptor(), stream->time_system());
-    while (!stream->Done()) {
-      TBM_ASSIGN_OR_RETURN(StreamElement element, stream->Next());
-      TBM_RETURN_IF_ERROR(assembled.Append(std::move(element)));
-    }
-    return DecodeStream(assembled);
-  }();
+  Result<MediaValue> value = Decode(*stream);
   if (stats != nullptr) *stats = stream->stats();
   return value;
 }

@@ -27,18 +27,20 @@ namespace tbm {
 ///  - "image/raw", "image/tjpeg"     → Image (single-element stream)
 ///  - "music/midi"                   → MidiSequence
 ///  - "animation/scene"              → AnimationScene (scene stream)
+///  - "text/captions", "text/plain"  → TimedStream (timed text as is)
 Result<MediaValue> DecodeStream(const TimedStream& stream);
 
-/// Streaming form of interpretation + DecodeStream: expands the named
-/// object element by element over an ElementStream (chunked reads with
+/// Interpretation + DecodeStream in one pass: expands the named object
+/// element by element over an ElementStream (chunked reads, with
 /// asynchronous readahead per `options`) and decodes each element as it
 /// arrives, so store I/O overlaps decode work instead of completing
-/// before it. Per-element codecs (PCM, ADPCM blocks, TJPEG frames)
-/// never hold the whole encoded object in memory; TMPEG parses frames
-/// incrementally and runs the reference-ordered sequence decode at the
-/// end; other types fall back to assembling the stream and calling
-/// DecodeStream. If `stats` is non-null it receives the element
-/// stream's counters (prefetch hits/stalls, fallback reads).
+/// before it. The decoders and the media-type dispatch are the ones
+/// DecodeStream runs. Per-element codecs (PCM, ADPCM blocks, TJPEG
+/// frames) never hold the whole encoded object in memory; TMPEG parses
+/// frames incrementally and runs the reference-ordered sequence decode
+/// at the end; whole-stream types (images, MIDI, scenes, timed text)
+/// drain the stream first. If `stats` is non-null it receives the
+/// element stream's counters (prefetch hits/stalls, fallback reads).
 Result<MediaValue> DecodeStreamed(const BlobStore& store,
                                   const Interpretation& interpretation,
                                   const std::string& name,

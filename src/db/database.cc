@@ -85,10 +85,8 @@ void MediaDatabase::set_read_options(StreamReadOptions options) {
   read_options_ = options;
 }
 
-void MediaDatabase::clear_read_options() { read_options_.reset(); }
-
 StreamReadOptions MediaDatabase::ResolvedReadOptions() const {
-  StreamReadOptions options = *read_options_;
+  StreamReadOptions options = read_options_;
   if (options.pool == nullptr && options.prefetch_depth > 0) {
     std::lock_guard<std::mutex> lock(io_pool_mu_);
     if (io_pool_ == nullptr) {
@@ -289,12 +287,53 @@ void MediaDatabase::IndexRemove(const CatalogEntry& entry) {
   }
 }
 
+Status MediaDatabase::CheckRefsLocked(const CatalogEntry& entry) const {
+  switch (entry.kind) {
+    case CatalogKind::kMediaObject: {
+      TBM_ASSIGN_OR_RETURN(const CatalogEntry* interp,
+                           Get(entry.interpretation_ref));
+      if (interp->kind != CatalogKind::kInterpretation) {
+        return Status::InvalidArgument(
+            "object " + std::to_string(entry.interpretation_ref) +
+            " is not an interpretation");
+      }
+      return interp->interpretation.FindObject(entry.stream_name).status();
+    }
+    case CatalogKind::kDerivedObject:
+      for (ObjectId input : entry.inputs) {
+        TBM_ASSIGN_OR_RETURN(const CatalogEntry* ref, Get(input));
+        if (ref->kind != CatalogKind::kMediaObject &&
+            ref->kind != CatalogKind::kDerivedObject) {
+          return Status::InvalidArgument(
+              "derivation input " + std::to_string(input) +
+              " must be a media or derived object, is " +
+              std::string(CatalogKindToString(ref->kind)));
+        }
+      }
+      return Status::OK();
+    case CatalogKind::kMultimediaObject:
+      for (const StoredComponent& component : entry.components) {
+        TBM_ASSIGN_OR_RETURN(const CatalogEntry* ref, Get(component.media));
+        if (ref->kind != CatalogKind::kMediaObject &&
+            ref->kind != CatalogKind::kDerivedObject) {
+          return Status::InvalidArgument(
+              "component \"" + component.name +
+              "\" must reference a media or derived object");
+        }
+      }
+      return Status::OK();
+    default:
+      return Status::OK();
+  }
+}
+
 Result<ObjectId> MediaDatabase::Insert(CatalogEntry entry) {
   uint64_t lsn = 0;
   ObjectId id = kInvalidObjectId;
   {
     std::lock_guard<std::mutex> lock(catalog_mu_);
     TBM_RETURN_IF_ERROR(CheckNameFreeLocked(entry.name));
+    TBM_RETURN_IF_ERROR(CheckRefsLocked(entry));
     entry.id = next_id_;
     id = entry.id;
     auto shared = std::make_shared<const CatalogEntry>(std::move(entry));
@@ -334,14 +373,6 @@ Result<ObjectId> MediaDatabase::AddMediaObject(const std::string& name,
                                                ObjectId interpretation_id,
                                                const std::string& stream_name,
                                                AttrMap attrs) {
-  TBM_ASSIGN_OR_RETURN(const CatalogEntry* interp, Get(interpretation_id));
-  if (interp->kind != CatalogKind::kInterpretation) {
-    return Status::InvalidArgument("object " +
-                                   std::to_string(interpretation_id) +
-                                   " is not an interpretation");
-  }
-  TBM_RETURN_IF_ERROR(
-      interp->interpretation.FindObject(stream_name).status());
   CatalogEntry entry;
   entry.kind = CatalogKind::kMediaObject;
   entry.name = name;
@@ -357,16 +388,6 @@ Result<ObjectId> MediaDatabase::AddDerivedObject(const std::string& name,
                                                  AttrMap params,
                                                  AttrMap attrs) {
   TBM_RETURN_IF_ERROR(DerivationRegistry::Builtin().Find(op).status());
-  for (ObjectId input : inputs) {
-    TBM_ASSIGN_OR_RETURN(const CatalogEntry* entry, Get(input));
-    if (entry->kind != CatalogKind::kMediaObject &&
-        entry->kind != CatalogKind::kDerivedObject) {
-      return Status::InvalidArgument(
-          "derivation input " + std::to_string(input) +
-          " must be a media or derived object, is " +
-          std::string(CatalogKindToString(entry->kind)));
-    }
-  }
   CatalogEntry entry;
   entry.kind = CatalogKind::kDerivedObject;
   entry.name = name;
@@ -381,13 +402,6 @@ Result<ObjectId> MediaDatabase::AddMultimediaObject(
     const std::string& name, std::vector<StoredComponent> components,
     AttrMap attrs) {
   for (const StoredComponent& component : components) {
-    TBM_ASSIGN_OR_RETURN(const CatalogEntry* entry, Get(component.media));
-    if (entry->kind != CatalogKind::kMediaObject &&
-        entry->kind != CatalogKind::kDerivedObject) {
-      return Status::InvalidArgument(
-          "component \"" + component.name +
-          "\" must reference a media or derived object");
-    }
     if (component.start_seconds.IsNegative()) {
       return Status::InvalidArgument("component \"" + component.name +
                                      "\" has negative start");
@@ -720,8 +734,8 @@ Status MediaDatabase::RevokeRights(ObjectId object,
 // Materialization
 
 Result<TimedStream> MediaDatabase::MaterializeStream(
-    ObjectId media_object) const {
-  obs::ScopedSpan span("db.materialize_stream");
+    ObjectId media_object, std::optional<TickSpan> span) const {
+  obs::ScopedSpan trace("db.materialize_stream");
   TBM_ASSIGN_OR_RETURN(const CatalogEntry* entry, Get(media_object));
   if (entry->kind != CatalogKind::kMediaObject) {
     return Status::InvalidArgument(
@@ -731,24 +745,8 @@ Result<TimedStream> MediaDatabase::MaterializeStream(
   }
   TBM_ASSIGN_OR_RETURN(const CatalogEntry* interp,
                        Get(entry->interpretation_ref));
-  if (read_options_) {
-    return MaterializeStreamed(*store_, interp->interpretation,
-                               entry->stream_name, ResolvedReadOptions());
-  }
-  return interp->interpretation.Materialize(*store_, entry->stream_name);
-}
-
-Result<TimedStream> MediaDatabase::MaterializeStreamSpan(
-    ObjectId media_object, TickSpan span) const {
-  TBM_ASSIGN_OR_RETURN(const CatalogEntry* entry, Get(media_object));
-  if (entry->kind != CatalogKind::kMediaObject) {
-    return Status::InvalidArgument("span materialization requires a "
-                                   "non-derived media object");
-  }
-  TBM_ASSIGN_OR_RETURN(const CatalogEntry* interp,
-                       Get(entry->interpretation_ref));
-  return interp->interpretation.MaterializeSpan(*store_, entry->stream_name,
-                                                span);
+  return MaterializeStreamed(*store_, interp->interpretation,
+                             entry->stream_name, ResolvedReadOptions(), span);
 }
 
 Result<NodeId> MediaDatabase::BuildGraphNode(
@@ -759,8 +757,12 @@ Result<NodeId> MediaDatabase::BuildGraphNode(
   TBM_ASSIGN_OR_RETURN(const CatalogEntry* entry, Get(id));
   NodeId node;
   if (entry->kind == CatalogKind::kMediaObject) {
-    TBM_ASSIGN_OR_RETURN(TimedStream stream, MaterializeStream(id));
-    TBM_ASSIGN_OR_RETURN(MediaValue value, DecodeStream(stream));
+    TBM_ASSIGN_OR_RETURN(const CatalogEntry* interp,
+                         Get(entry->interpretation_ref));
+    TBM_ASSIGN_OR_RETURN(MediaValue value,
+                         DecodeStreamed(*store_, interp->interpretation,
+                                        entry->stream_name,
+                                        ResolvedReadOptions()));
     node = graph->AddLeaf(std::move(value), entry->name);
   } else if (entry->kind == CatalogKind::kDerivedObject) {
     std::vector<NodeId> inputs;

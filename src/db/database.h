@@ -261,30 +261,21 @@ class MediaDatabase {
   // -------------------------------------------------------------------------
   // Materialization (the Figure 5 upward path)
 
-  /// Materializes a non-derived media object as a timed stream. With
-  /// streaming read options set (set_read_options), elements are read
-  /// chunk by chunk with asynchronous readahead; otherwise one ranged
-  /// read per element.
-  Result<TimedStream> MaterializeStream(ObjectId media_object) const;
+  /// Materializes a non-derived media object as a timed stream by
+  /// draining an ElementStream over it, read per `read_options()`.
+  /// With a `span`, only the elements it selects are read — the
+  /// paper's "select a specific duration" query.
+  Result<TimedStream> MaterializeStream(
+      ObjectId media_object, std::optional<TickSpan> span = {}) const;
 
-  /// Enables the streaming read path for MaterializeStream and
-  /// Materialize: chunked reads with prefetch per `options`. If
-  /// `options.pool` is null and `options.prefetch_depth` > 0, the
-  /// database lazily creates (and owns) an I/O pool for the readahead.
+  /// Tunes how MaterializeStream and Materialize read stored objects:
+  /// chunk size, retry policy and readahead. If `options.pool` is null
+  /// and `options.prefetch_depth` > 0, the database lazily creates (and
+  /// owns) an I/O pool for the readahead. Set before concurrent reads
+  /// start; the default reads synchronously (no readahead).
   void set_read_options(StreamReadOptions options);
 
-  /// Reverts to the default per-element read path.
-  void clear_read_options();
-
-  /// The active streaming options, or null when streaming is off.
-  const StreamReadOptions* read_options() const {
-    return read_options_ ? &*read_options_ : nullptr;
-  }
-
-  /// Materializes only the elements intersecting `span` — the paper's
-  /// "select a specific duration" query.
-  Result<TimedStream> MaterializeStreamSpan(ObjectId media_object,
-                                            TickSpan span) const;
+  const StreamReadOptions& read_options() const { return read_options_; }
 
   /// Materializes a media or derived object as its typed value,
   /// expanding derivations as needed (memoized per call graph). The
@@ -388,10 +379,17 @@ class MediaDatabase {
 
  private:
   MediaDatabase(std::unique_ptr<BlobStore> store, std::string dir)
-      : store_(std::move(store)), dir_(std::move(dir)) {}
+      : store_(std::move(store)), dir_(std::move(dir)) {
+    read_options_.prefetch_depth = 0;  // Synchronous until set otherwise.
+  }
 
+  /// Validates `entry` and commits it as a new row. Reference checks
+  /// run under catalog_mu_, so a concurrent insert cannot race them.
   Result<ObjectId> Insert(CatalogEntry entry);
   Status CheckNameFreeLocked(const std::string& name) const;
+  /// Checks that the rows `entry` references exist and have the kinds
+  /// its own kind requires.
+  Status CheckRefsLocked(const CatalogEntry& entry) const;
   Result<NodeId> BuildGraphNode(ObjectId id, DerivationGraph* graph,
                                 std::map<ObjectId, NodeId>* built) const;
 
@@ -440,9 +438,8 @@ class MediaDatabase {
   void IndexRemove(const CatalogEntry& entry);
   static std::string IndexKey(const AttrValue& value);
 
-  /// Streaming options with the pool slot filled (lazily creating the
-  /// owned I/O pool on first use). Only meaningful when read_options_
-  /// is set.
+  /// read_options_ with the pool slot filled (lazily creating the
+  /// owned I/O pool on first use when readahead is on).
   StreamReadOptions ResolvedReadOptions() const;
 
   std::unique_ptr<BlobStore> store_;
@@ -471,7 +468,7 @@ class MediaDatabase {
   std::unique_ptr<FileLock> lock_;        ///< Null for in-memory.
   std::unique_ptr<wal::WalManager> wal_;  ///< Null for in-memory.
 
-  std::optional<StreamReadOptions> read_options_;
+  StreamReadOptions read_options_;
   mutable std::mutex io_pool_mu_;  ///< Guards io_pool_ creation.
   mutable std::unique_ptr<ThreadPool> io_pool_;
 };

@@ -219,7 +219,7 @@ std::string CompiledPlan::ToString() const {
       if (k > 0) out += " -> ";
       out += stage.nodes[k].op_name.empty() ? "(leafless)"
                                             : stage.nodes[k].op_name;
-      out += "#" + std::to_string(stage.nodes[k].id);
+      out += '#' + std::to_string(stage.nodes[k].id);
     }
     if (stage.fused()) out += " [fused]";
     out += "\n";

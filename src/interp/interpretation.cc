@@ -88,34 +88,6 @@ Result<StreamElement> MakeElement(const BlobStore& store, BlobId blob,
 
 }  // namespace
 
-Result<TimedStream> Interpretation::Materialize(
-    const BlobStore& store, const std::string& name) const {
-  TBM_ASSIGN_OR_RETURN(const InterpretedObject* object, FindObject(name));
-  TimedStream stream(object->descriptor, object->time_system);
-  for (const ElementPlacement& placement : object->elements) {
-    TBM_ASSIGN_OR_RETURN(StreamElement element,
-                         MakeElement(store, blob_, placement));
-    TBM_RETURN_IF_ERROR(stream.Append(std::move(element)));
-  }
-  return stream;
-}
-
-Result<TimedStream> Interpretation::MaterializeSpan(
-    const BlobStore& store, const std::string& name, TickSpan span) const {
-  TBM_ASSIGN_OR_RETURN(const InterpretedObject* object, FindObject(name));
-  TimedStream stream(object->descriptor, object->time_system);
-  for (const ElementPlacement& placement : object->elements) {
-    TickSpan element_span{placement.start, placement.duration};
-    bool hit = placement.duration == 0 ? span.Contains(placement.start)
-                                       : element_span.Overlaps(span);
-    if (!hit) continue;
-    TBM_ASSIGN_OR_RETURN(StreamElement element,
-                         MakeElement(store, blob_, placement));
-    TBM_RETURN_IF_ERROR(stream.Append(std::move(element)));
-  }
-  return stream;
-}
-
 Result<StreamElement> Interpretation::ReadElement(
     const BlobStore& store, const std::string& name,
     int64_t element_number) const {

@@ -76,20 +76,9 @@ class Interpretation {
   /// Verifies every placement lies within a BLOB of `blob_size` bytes.
   Status ValidateAgainstBlobSize(uint64_t blob_size) const;
 
-  /// Materializes the named object as a timed stream, reading every
-  /// element's bytes from `store`. This is the "expansion" of the
-  /// interpretation relationship: the result is the object as the data
-  /// model presents it, independent of BLOB layout.
-  Result<TimedStream> Materialize(const BlobStore& store,
-                                  const std::string& name) const;
-
-  /// Materializes only the elements whose spans intersect `span` —
-  /// the structural-query path ("select a specific duration").
-  Result<TimedStream> MaterializeSpan(const BlobStore& store,
-                                      const std::string& name,
-                                      TickSpan span) const;
-
-  /// Reads a single element by element number.
+  /// Reads a single element by element number (random access; the
+  /// sequential expansion of an object, whole or over a span, is
+  /// ElementStream in interp/streaming.h).
   Result<StreamElement> ReadElement(const BlobStore& store,
                                     const std::string& name,
                                     int64_t element_number) const;

@@ -12,14 +12,22 @@ namespace tbm {
 
 Result<std::unique_ptr<ElementStream>> ElementStream::Open(
     const BlobStore& store, const Interpretation& interpretation,
-    const std::string& name, const StreamReadOptions& options) {
+    const std::string& name, const StreamReadOptions& options,
+    std::optional<TickSpan> span) {
   if (options.chunk_size == 0) {
     return Status::InvalidArgument("chunk_size must be positive");
   }
   TBM_ASSIGN_OR_RETURN(const InterpretedObject* object,
                        interpretation.FindObject(name));
+  InterpretedObject selected = *object;
+  if (span.has_value()) {
+    std::erase_if(selected.elements, [&](const ElementPlacement& e) {
+      return e.duration == 0 ? !span->Contains(e.start)
+                             : !TickSpan{e.start, e.duration}.Overlaps(*span);
+    });
+  }
   return std::unique_ptr<ElementStream>(new ElementStream(
-      store, interpretation.blob(), *object, options));
+      store, interpretation.blob(), std::move(selected), options));
 }
 
 ElementStream::ElementStream(const BlobStore& store, BlobId blob,
@@ -32,8 +40,10 @@ ElementStream::ElementStream(const BlobStore& store, BlobId blob,
   const size_t n = object_.elements.size();
   suffix_min_offset_.assign(n + 1, std::numeric_limits<uint64_t>::max());
   for (size_t i = n; i-- > 0;) {
-    suffix_min_offset_[i] = std::min(suffix_min_offset_[i + 1],
-                                     object_.elements[i].placement.offset);
+    const ByteRange& range = object_.elements[i].placement;
+    suffix_min_offset_[i] =
+        range.empty() ? suffix_min_offset_[i + 1]
+                      : std::min(suffix_min_offset_[i + 1], range.offset);
   }
 }
 
@@ -49,8 +59,12 @@ Status ElementStream::EnsurePrefetcher() {
   PrefetchOptions prefetch;
   prefetch.depth = options_.prefetch_depth;
   prefetch.max_inflight_bytes = options_.max_inflight_bytes;
-  prefetcher_ = std::make_unique<AsyncPrefetcher>(std::move(reader),
-                                                  options_.pool, prefetch);
+  // Start at the chunk holding the lowest offset any element needs:
+  // the bytes before it belong to other objects (or unselected
+  // elements) and are never read.
+  next_pull_ = suffix_min_offset_[0] / reader->chunk_size();
+  prefetcher_ = std::make_unique<AsyncPrefetcher>(
+      std::move(reader), options_.pool, prefetch, next_pull_);
   return Status::OK();
 }
 
@@ -166,10 +180,15 @@ ElementStreamStats ElementStream::stats() const {
 Result<TimedStream> MaterializeStreamed(const BlobStore& store,
                                         const Interpretation& interpretation,
                                         const std::string& name,
-                                        const StreamReadOptions& options) {
+                                        const StreamReadOptions& options,
+                                        std::optional<TickSpan> span) {
   TBM_ASSIGN_OR_RETURN(std::unique_ptr<ElementStream> stream,
                        ElementStream::Open(store, interpretation, name,
-                                           options));
+                                           options, span));
+  return MaterializeStreamed(stream.get());
+}
+
+Result<TimedStream> MaterializeStreamed(ElementStream* stream) {
   TimedStream out(stream->descriptor(), stream->time_system());
   while (!stream->Done()) {
     TBM_ASSIGN_OR_RETURN(StreamElement element, stream->Next());

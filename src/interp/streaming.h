@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,16 +53,21 @@ struct ElementStreamStats {
   PrefetchStats prefetch;
 };
 
-/// Incremental expansion of one interpreted object: delivers the
-/// object's elements in element order, reading the BLOB chunk by chunk
-/// with asynchronous readahead instead of one read per element (or one
-/// read for the whole object).
+/// Expansion of one interpreted object (the interpretation mapping of
+/// Def. 5, run on demand): delivers the object's elements in element
+/// order, reading the BLOB chunk by chunk instead of one read per
+/// element (or one read for the whole object). This is the only path
+/// from an interpreted object's bytes to its elements; a materialized
+/// stream is a drained ElementStream (MaterializeStreamed), and random
+/// access to one element is Interpretation::ReadElement.
 ///
-/// This is the streaming form of Interpretation::Materialize. Playback
-/// consumes elements in timestamp order at a sustained rate (paper
-/// §2.2), so sequential chunk readahead overlaps store latency with
-/// decode/presentation work; the chunk window holds only bytes that a
-/// future element still needs, so memory stays bounded by the
+/// Reading starts at the chunk holding the lowest placement offset of
+/// the selected elements, so an object that does not start its BLOB,
+/// or a span near an object's end, never reads the bytes before it.
+/// Playback consumes elements in timestamp order at a sustained rate
+/// (paper §2.2), so sequential chunk readahead overlaps store latency
+/// with decode/presentation work; the chunk window holds only bytes
+/// that a future element still needs, so memory stays bounded by the
 /// prefetch budget plus the span of out-of-order placements.
 ///
 /// The store (and the thread pool, if any) must outlive the stream.
@@ -70,19 +76,27 @@ struct ElementStreamStats {
 class ElementStream {
  public:
   /// Opens a stream over `interpretation`'s object `name` in `store`.
+  /// With a `span`, only the elements it selects are delivered — the
+  /// structural query "select a specific duration": a zero-duration
+  /// element is selected when the span contains its start, any other
+  /// when its span overlaps `span`.
   static Result<std::unique_ptr<ElementStream>> Open(
       const BlobStore& store, const Interpretation& interpretation,
-      const std::string& name, const StreamReadOptions& options = {});
+      const std::string& name, const StreamReadOptions& options = {},
+      std::optional<TickSpan> span = {});
 
-  /// True when every element has been delivered.
+  /// True when every selected element has been delivered.
   bool Done() const { return next_element_ >= object_.elements.size(); }
 
-  /// Elements delivered so far / in total.
+  /// Elements delivered so far / selected in total.
   size_t position() const { return next_element_; }
   size_t size() const { return object_.elements.size(); }
 
   const MediaDescriptor& descriptor() const { return object_.descriptor; }
   const TimeSystem& time_system() const { return object_.time_system; }
+
+  /// The object restricted to the selected elements (all of them
+  /// without a span); element numbers are the original ones.
   const InterpretedObject& object() const { return object_; }
 
   /// Delivers the next element in element order; OutOfRange once
@@ -121,22 +135,27 @@ class ElementStream {
   StreamReadOptions options_;
   std::unique_ptr<AsyncPrefetcher> prefetcher_;
 
-  /// suffix_min_offset_[i] = min placement offset over elements i..n-1
-  /// (UINT64_MAX past the end) — the eviction horizon.
+  /// suffix_min_offset_[i] = min offset over the non-empty placements
+  /// of elements i..n-1 (UINT64_MAX past the end) — the eviction
+  /// horizon; entry 0 picks the first chunk read.
   std::vector<uint64_t> suffix_min_offset_;
 
   std::map<uint64_t, BufferSlice> window_;  ///< chunk index -> payload.
-  uint64_t next_pull_ = 0;            ///< Next chunk the prefetcher yields.
+  uint64_t next_pull_ = 0;  ///< Next chunk the prefetcher yields.
   size_t next_element_ = 0;
   ElementStreamStats stats_;
 };
 
-/// Materializes the named object as a TimedStream via an ElementStream
-/// — same result as Interpretation::Materialize, different read path.
+/// Materializes the named object (or the elements `span` selects) as a
+/// TimedStream by draining an ElementStream over it.
 Result<TimedStream> MaterializeStreamed(const BlobStore& store,
                                         const Interpretation& interpretation,
                                         const std::string& name,
-                                        const StreamReadOptions& options = {});
+                                        const StreamReadOptions& options = {},
+                                        std::optional<TickSpan> span = {});
+
+/// Drains the rest of `stream` into a TimedStream.
+Result<TimedStream> MaterializeStreamed(ElementStream* stream);
 
 }  // namespace tbm
 

@@ -10,6 +10,7 @@
 #include "codec/synthetic.h"
 #include "db/codec_bridge.h"
 #include "interp/capture.h"
+#include "interp/streaming.h"
 
 namespace tbm {
 namespace {
@@ -44,7 +45,7 @@ TEST(BridgeTest, AdpcmHeterogeneousRoundTrip) {
   MemoryBlobStore store;
   auto interp = StoreValue(&store, MediaValue(stream), "adpcm");
   ASSERT_TRUE(interp.ok()) << interp.status();
-  auto restored = interp->Materialize(store, "adpcm");
+  auto restored = MaterializeStreamed(store, *interp, "adpcm");
   ASSERT_TRUE(restored.ok());
   auto value = DecodeStream(*restored);
   ASSERT_TRUE(value.ok()) << value.status();
@@ -72,7 +73,7 @@ TEST(BridgeTest, CorruptTjpegElementSurfacesError) {
   video.frames = videogen::Clip(32, 24, 4, 1);
   auto interp = StoreValue(&store, MediaValue(video), "clip");
   ASSERT_TRUE(interp.ok());
-  auto stream = interp->Materialize(store, "clip");
+  auto stream = MaterializeStreamed(store, *interp, "clip");
   ASSERT_TRUE(stream.ok());
   // Corrupt the second frame's payload in place.
   TimedStream broken(stream->descriptor(), stream->time_system());
@@ -156,7 +157,7 @@ TEST(BridgeTest, TmpegForwardStreamDecodesViaBridge) {
             "key");
   EXPECT_EQ(*(*object)->elements[1].descriptor.GetString("frame kind"),
             "delta");
-  auto stream = interp->Materialize(store, "clip");
+  auto stream = MaterializeStreamed(store, *interp, "clip");
   ASSERT_TRUE(stream.ok());
   auto value = DecodeStream(*stream);
   ASSERT_TRUE(value.ok()) << value.status();
@@ -170,7 +171,7 @@ TEST(BridgeTest, EmptyAudioStoresAndDecodes) {
   empty.channels = 1;
   auto interp = StoreValue(&store, MediaValue(empty), "silence");
   ASSERT_TRUE(interp.ok());
-  auto stream = interp->Materialize(store, "silence");
+  auto stream = MaterializeStreamed(store, *interp, "silence");
   ASSERT_TRUE(stream.ok());
   EXPECT_TRUE(stream->empty());
   auto value = DecodeStream(*stream);

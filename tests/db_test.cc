@@ -135,7 +135,7 @@ TEST(DbTest, MaterializeStreamAndSpan) {
   auto stream = db->MaterializeStream(video);
   ASSERT_TRUE(stream.ok());
   EXPECT_EQ(stream->size(), 25u);
-  auto span = db->MaterializeStreamSpan(video, TickSpan{10, 5});
+  auto span = db->MaterializeStream(video, TickSpan{10, 5});
   ASSERT_TRUE(span.ok());
   EXPECT_EQ(span->size(), 5u);
   EXPECT_EQ(span->at(0).start, 10);
@@ -477,6 +477,48 @@ TEST(DbStatsRaceTest, ConcurrentMaterializeAndStatsSnapshot) {
   EvalStats final_stats = db->last_eval_stats();
   EXPECT_EQ(final_stats.evaluations, 1u);  // Per-Materialize engine.
   EXPECT_GE(final_stats.nodes_evaluated, 1u);
+}
+
+// Mutators validate the rows they reference under the catalog lock, so
+// a writer never misses a row another writer has just committed while
+// a third is inserting (in the TSan CI filter).
+TEST(DbMutatorRaceTest, ConcurrentChainsAllSucceed) {
+  auto db = MediaDatabase::CreateInMemory();
+  auto push = db->blob_store()->StartPush();
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE((*push)->Push(Bytes(16, 7)).ok());
+  auto blob = (*push)->Finish();
+  ASSERT_TRUE(blob.ok());
+  Interpretation interp(*blob);
+  InterpretedObject object;
+  object.name = "v";
+  object.descriptor.type_name = "application/test";
+  object.time_system = TimeSystem(25);
+  object.elements.push_back({0, 0, 1, ByteRange{0, 16}, {}});
+  ASSERT_TRUE(interp.AddObject(std::move(object)).ok());
+  AttrMap cut;
+  cut.SetInt("start frame", 0);
+  cut.SetInt("frame count", 1);
+
+  constexpr int kWriters = 4;
+  constexpr int kChains = 500;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kChains; ++i) {
+        const std::string tag = std::to_string(w) + "_" + std::to_string(i);
+        auto interp_id = db->AddInterpretation("i" + tag, interp);
+        ASSERT_TRUE(interp_id.ok()) << interp_id.status();
+        auto media = db->AddMediaObject("m" + tag, *interp_id, "v");
+        ASSERT_TRUE(media.ok()) << media.status();
+        auto derived = db->AddDerivedObject("d" + tag, "video edit", {*media},
+                                            cut);
+        ASSERT_TRUE(derived.ok()) << derived.status();
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(db->size(), static_cast<size_t>(kWriters * kChains * 3));
 }
 
 }  // namespace

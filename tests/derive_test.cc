@@ -31,6 +31,14 @@ struct Table1Row {
   size_t arity;
 };
 
+// Names the test case after the row, e.g. ".../color_separation"; the
+// default printer would dump the row's bytes, pointer included.
+void PrintTo(const Table1Row& row, std::ostream* os) {
+  for (const char* c = row.name; *c != '\0'; ++c) {
+    *os << (*c == ' ' ? '_' : *c);
+  }
+}
+
 class Table1Test : public ::testing::TestWithParam<Table1Row> {};
 
 TEST_P(Table1Test, SignatureMatchesPaper) {

@@ -620,7 +620,7 @@ TEST(DbQueryTest, AttrIndexMatchesScanAndTracksUpdates) {
     AttrMap attrs;
     attrs.SetString("language", i % 3 == 0 ? "German" : "English");
     attrs.SetInt("year", 1990 + i % 5);
-    auto id = db->AddEntity("e" + std::to_string(i), attrs);
+    auto id = db->AddEntity('e' + std::to_string(i), attrs);
     ASSERT_TRUE(id.ok());
   }
   // Scan result before indexing.

@@ -9,6 +9,7 @@
 #include "db/database.h"
 #include "interp/capture.h"
 #include "interp/index.h"
+#include "interp/streaming.h"
 #include "stream/category.h"
 
 namespace tbm {
@@ -258,7 +259,7 @@ TEST(ScalabilityTest, KeysOnlyReadTouchesFewerBytes) {
   EXPECT_LT(key_bytes, total_bytes);
 
   // The keys really decode without touching delta bytes.
-  auto full = interp->Materialize(*db->blob_store(), "clip");
+  auto full = MaterializeStreamed(*db->blob_store(), *interp, "clip");
   ASSERT_TRUE(full.ok());
   std::vector<TmpegFrame> key_frames;
   for (int64_t key : index.sync_elements()) {
@@ -298,7 +299,7 @@ TEST(OutOfOrderTest, BidirectionalStorageThroughInterpretation) {
     EXPECT_EQ(elements[i].start, static_cast<int64_t>(i));
   }
   // Decode through the bridge recovers presentation order.
-  auto stream = interp->Materialize(*db->blob_store(), "clip");
+  auto stream = MaterializeStreamed(*db->blob_store(), *interp, "clip");
   ASSERT_TRUE(stream.ok());
   auto value = DecodeStream(*stream);
   ASSERT_TRUE(value.ok()) << value.status();
@@ -316,7 +317,7 @@ TEST(BridgeTest, AllValueKindsRoundTripThroughStorage) {
     MediaValue value = audiogen::Sine(8000, 2, 440, 0.5, 0.5);
     auto interp = StoreValue(db->blob_store(), value, "a");
     ASSERT_TRUE(interp.ok());
-    auto stream = interp->Materialize(*db->blob_store(), "a");
+    auto stream = MaterializeStreamed(*db->blob_store(), *interp, "a");
     ASSERT_TRUE(stream.ok());
     auto back = DecodeStream(*stream);
     ASSERT_TRUE(back.ok());
@@ -328,7 +329,7 @@ TEST(BridgeTest, AllValueKindsRoundTripThroughStorage) {
     MediaValue value = videogen::Still(64, 48, 5);
     auto interp = StoreValue(db->blob_store(), value, "i");
     ASSERT_TRUE(interp.ok());
-    auto stream = interp->Materialize(*db->blob_store(), "i");
+    auto stream = MaterializeStreamed(*db->blob_store(), *interp, "i");
     ASSERT_TRUE(stream.ok());
     auto back = DecodeStream(*stream);
     ASSERT_TRUE(back.ok());
@@ -342,7 +343,7 @@ TEST(BridgeTest, AllValueKindsRoundTripThroughStorage) {
     MediaValue value = seq;
     auto interp = StoreValue(db->blob_store(), value, "midi");
     ASSERT_TRUE(interp.ok());
-    auto stream = interp->Materialize(*db->blob_store(), "midi");
+    auto stream = MaterializeStreamed(*db->blob_store(), *interp, "midi");
     ASSERT_TRUE(stream.ok());
     auto back = DecodeStream(*stream);
     ASSERT_TRUE(back.ok());
@@ -358,7 +359,7 @@ TEST(BridgeTest, AllValueKindsRoundTripThroughStorage) {
     MediaValue value = scene;
     auto interp = StoreValue(db->blob_store(), value, "anim");
     ASSERT_TRUE(interp.ok());
-    auto stream = interp->Materialize(*db->blob_store(), "anim");
+    auto stream = MaterializeStreamed(*db->blob_store(), *interp, "anim");
     ASSERT_TRUE(stream.ok());
     auto back = DecodeStream(*stream);
     ASSERT_TRUE(back.ok());
@@ -374,7 +375,7 @@ TEST(BridgeTest, AllValueKindsRoundTripThroughStorage) {
     options.video_codec = "raw";
     auto interp = StoreValue(db->blob_store(), value, "v", options);
     ASSERT_TRUE(interp.ok());
-    auto stream = interp->Materialize(*db->blob_store(), "v");
+    auto stream = MaterializeStreamed(*db->blob_store(), *interp, "v");
     ASSERT_TRUE(stream.ok());
     auto back = DecodeStream(*stream);
     ASSERT_TRUE(back.ok());

@@ -7,6 +7,7 @@
 #include "interp/capture.h"
 #include "interp/index.h"
 #include "interp/interpretation.h"
+#include "interp/streaming.h"
 
 namespace tbm {
 namespace {
@@ -108,14 +109,14 @@ TEST(CaptureTest, InterleavedCaptureRoundTrip) {
   ASSERT_TRUE(interp.ok());
 
   // Materialized streams unscramble the interleaving.
-  auto video_stream = interp->Materialize(store, "video1");
+  auto video_stream = MaterializeStreamed(store, *interp, "video1");
   ASSERT_TRUE(video_stream.ok());
   EXPECT_EQ(video_stream->size(), 2u);
   EXPECT_EQ(video_stream->at(0).data.size(), 100u);
   EXPECT_EQ(video_stream->at(1).data.size(), 90u);
   EXPECT_EQ(video_stream->at(1).start, 1);
 
-  auto audio_stream = interp->Materialize(store, "audio1");
+  auto audio_stream = MaterializeStreamed(store, *interp, "audio1");
   ASSERT_TRUE(audio_stream.ok());
   EXPECT_EQ(audio_stream->size(), 2u);
   EXPECT_EQ(audio_stream->at(1).start, 1764);
@@ -135,7 +136,7 @@ TEST(CaptureTest, PaddingIsUninterpreted) {
   ASSERT_TRUE(interp.ok());
   // 200 of 600 bytes are element payload.
   EXPECT_NEAR(interp->Coverage(600), 200.0 / 600.0, 1e-9);
-  auto stream = interp->Materialize(store, "v");
+  auto stream = MaterializeStreamed(store, *interp, "v");
   ASSERT_TRUE(stream.ok());
   EXPECT_EQ(stream->at(1).data, Data(100, 2));
 }
@@ -159,18 +160,31 @@ TEST(InterpretationTest, MaterializeSpanSelectsDuration) {
   auto v = session->DeclareObject("v", VideoDescriptor(), TimeSystem(25));
   ASSERT_TRUE(v.ok());
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(session->CaptureContiguous(
-                    *v, Data(10, static_cast<uint8_t>(i)), 1)
-                    .ok());
+    ASSERT_TRUE(
+        session->CaptureElement(*v, Data(10, static_cast<uint8_t>(i)), i, 1)
+            .ok());
+    // Zero-duration markers at 15 (inside the span) and 20 (on its
+    // end, which a half-open span excludes).
+    if (i == 15 || i == 20) {
+      ASSERT_TRUE(session->CaptureElement(*v, Data(1, 0xEE), i, 0).ok());
+    }
   }
   auto interp = session->Finish();
   ASSERT_TRUE(interp.ok());
-  // Frames 10..19 (span [10, 20)).
-  auto span = interp->MaterializeSpan(store, "v", TickSpan{10, 10});
-  ASSERT_TRUE(span.ok());
-  EXPECT_EQ(span->size(), 10u);
+  // Frames 10..19 (span [10, 20)) plus the marker at 15.
+  auto span = MaterializeStreamed(store, *interp, "v", {}, TickSpan{10, 10});
+  ASSERT_TRUE(span.ok()) << span.status();
+  ASSERT_EQ(span->size(), 11u);
   EXPECT_EQ(span->at(0).data[0], 10);
-  EXPECT_EQ(span->at(9).data[0], 19);
+  EXPECT_EQ(span->at(6).data[0], 0xEE);
+  EXPECT_EQ(span->at(6).duration, 0);
+  EXPECT_EQ(span->at(10).data[0], 19);
+  // A span holding only the marker's instant selects the marker and
+  // the frame overlapping it.
+  auto instant = MaterializeStreamed(store, *interp, "v", {}, TickSpan{15, 1});
+  ASSERT_TRUE(instant.ok());
+  ASSERT_EQ(instant->size(), 2u);
+  EXPECT_EQ(instant->at(1).data[0], 0xEE);
 }
 
 TEST(InterpretationTest, ReadElementBounds) {
@@ -209,7 +223,7 @@ TEST(InterpretationTest, RestrictMakesAlternativeView) {
   ASSERT_TRUE(view.ok());
   EXPECT_EQ(view->objects().size(), 1u);
   EXPECT_TRUE(view->FindObject("video1").status().IsNotFound());
-  EXPECT_TRUE(view->Materialize(store, "audio1").ok());
+  EXPECT_TRUE(MaterializeStreamed(store, *view, "audio1").ok());
   EXPECT_TRUE(interp->Restrict({"nonexistent"}).status().IsNotFound());
 }
 
@@ -248,7 +262,7 @@ TEST(InterpretationTest, ReadingDeletedBlobFails) {
   auto interp = session->Finish();
   ASSERT_TRUE(interp.ok());
   ASSERT_TRUE(store.Delete(interp->blob()).ok());
-  EXPECT_TRUE(interp->Materialize(store, "v").status().IsNotFound());
+  EXPECT_TRUE(MaterializeStreamed(store, *interp, "v").status().IsNotFound());
 }
 
 // ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ TEST_P(SeededProperty, TruncatedAttrMapNeverSucceedsWrongly) {
   AttrMap attrs;
   const int count = static_cast<int>(rng.Range(1, 10));
   for (int i = 0; i < count; ++i) {
-    std::string name = "a" + std::to_string(i);
+    std::string name = 'a' + std::to_string(i);
     switch (rng.Range(0, 4)) {
       case 0: attrs.SetInt(name, rng.Range(-1000, 1000)); break;
       case 1: attrs.SetDouble(name, rng.Range(0, 100) / 7.0); break;

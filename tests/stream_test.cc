@@ -156,6 +156,10 @@ struct CategoryCase {
   bool homogeneous;
 };
 
+// Names the test case after the case, e.g. ".../uniform"; the default
+// printer would dump the struct's bytes, pointers included.
+void PrintTo(const CategoryCase& c, std::ostream* os) { *os << c.name; }
+
 class CategoryTest : public ::testing::TestWithParam<CategoryCase> {};
 
 TEST_P(CategoryTest, ClassifiesAsExpected) {

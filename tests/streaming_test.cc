@@ -13,11 +13,14 @@
 #include "blob/paged_store.h"
 #include "blob/prefetcher.h"
 #include "blob/read_policy.h"
+#include "codec/adpcm.h"
+#include "codec/pcm.h"
 #include "codec/synthetic.h"
 #include "db/codec_bridge.h"
 #include "db/database.h"
 #include "interp/streaming.h"
 #include "playback/streaming.h"
+#include "text/captions.h"
 
 namespace tbm {
 namespace {
@@ -635,11 +638,36 @@ Interpretation ContiguousInterp(BlobStore* store, int elements,
   return interp;
 }
 
+// The reference expansion: one Interpretation::ReadElement per element,
+// independent of ElementStream's chunk window.
+TimedStream ReadElementLoop(const BlobStore& store,
+                            const Interpretation& interp,
+                            const std::string& name, size_t first = 0,
+                            size_t count = SIZE_MAX) {
+  const InterpretedObject* object = *interp.FindObject(name);
+  TimedStream out(object->descriptor, object->time_system);
+  for (size_t i = first; i < object->elements.size() && i - first < count;
+       ++i) {
+    auto element = interp.ReadElement(store, name, static_cast<int64_t>(i));
+    EXPECT_TRUE(element.ok()) << element.status();
+    EXPECT_TRUE(out.Append(std::move(*element)).ok());
+  }
+  return out;
+}
+
+void ExpectSameElements(const TimedStream& got, const TimedStream& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.at(i).data, want.at(i).data) << "element " << i;
+    EXPECT_EQ(got.at(i).start, want.at(i).start) << "element " << i;
+    EXPECT_EQ(got.at(i).duration, want.at(i).duration) << "element " << i;
+  }
+}
+
 TEST(StreamingFaultTest, StreamedMaterializeMatchesDirect) {
   MemoryBlobStore store;
   Interpretation interp = ContiguousInterp(&store, 40, 997, nullptr);
-  auto direct = interp.Materialize(store, "v");
-  ASSERT_TRUE(direct.ok());
+  TimedStream direct = ReadElementLoop(store, interp, "v");
 
   ThreadPool pool(4);
   for (uint64_t chunk_size : {64u, 1000u, 100'000u}) {
@@ -650,11 +678,7 @@ TEST(StreamingFaultTest, StreamedMaterializeMatchesDirect) {
       options.pool = depth == 0 ? nullptr : &pool;
       auto streamed = MaterializeStreamed(store, interp, "v", options);
       ASSERT_TRUE(streamed.ok()) << streamed.status();
-      ASSERT_EQ(streamed->size(), direct->size());
-      for (size_t i = 0; i < direct->size(); ++i) {
-        EXPECT_EQ(streamed->at(i).data, direct->at(i).data);
-        EXPECT_EQ(streamed->at(i).start, direct->at(i).start);
-      }
+      ExpectSameElements(*streamed, direct);
     }
   }
 }
@@ -684,18 +708,76 @@ TEST(StreamingFaultTest, OutOfOrderPlacementsStream) {
   }
   ASSERT_TRUE(interp.AddObject(std::move(object)).ok());
 
-  auto direct = interp.Materialize(store, "v");
-  ASSERT_TRUE(direct.ok());
+  TimedStream direct = ReadElementLoop(store, interp, "v");
   ThreadPool pool(2);
   StreamReadOptions options;
   options.chunk_size = 1000;
   options.pool = &pool;
   auto streamed = MaterializeStreamed(store, interp, "v", options);
   ASSERT_TRUE(streamed.ok()) << streamed.status();
-  ASSERT_EQ(streamed->size(), direct->size());
-  for (size_t i = 0; i < direct->size(); ++i) {
-    EXPECT_EQ(streamed->at(i).data, direct->at(i).data) << "element " << i;
+  ExpectSameElements(*streamed, direct);
+}
+
+// ---------------------------------------------------------------------------
+// Span and offset reads: an ElementStream starts reading at the chunk
+// holding the lowest offset its selected elements need.
+
+TEST(StreamingReadRangeTest, TailSpanReadsOnlyTailChunks) {
+  FaultInjectingStore store(std::make_unique<MemoryBlobStore>());
+  BlobId blob;
+  Interpretation interp = ContiguousInterp(store.inner(), 200, 100, &blob);
+  // Elements 190..199 = ticks [190, 200) = bytes [19000, 20000), which
+  // 256-byte chunks 74..78 cover.
+  const TickSpan tail{190, 10};
+  TimedStream want = ReadElementLoop(store, interp, "v", 190, 10);
+
+  ThreadPool pool(2);
+  for (int depth : {0, 4}) {
+    StreamReadOptions options;
+    options.chunk_size = 256;
+    options.prefetch_depth = depth;
+    options.pool = depth == 0 ? nullptr : &pool;
+    const uint64_t before = store.reads_seen();
+    auto got = MaterializeStreamed(store, interp, "v", options, tail);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(store.reads_seen() - before, 5u) << "depth " << depth;
+    ExpectSameElements(*got, want);
   }
+}
+
+TEST(StreamingReadRangeTest, SecondObjectSkipsFirstObjectsBytes) {
+  // Two objects back to back in one BLOB: "a" holds bytes [0, 5000),
+  // "b" bytes [5000, 8000).
+  FaultInjectingStore store(std::make_unique<MemoryBlobStore>());
+  auto push = store.inner()->StartPush();
+  ASSERT_TRUE(push.ok());
+  Interpretation interp;
+  uint64_t offset = 0;
+  for (auto [name, count] : {std::pair{"a", 50}, std::pair{"b", 30}}) {
+    InterpretedObject object;
+    object.name = name;
+    object.descriptor.type_name = "application/test";
+    object.time_system = TimeSystem(25);
+    for (int i = 0; i < count; ++i) {
+      ASSERT_TRUE((*push)->Push(Pattern(100, static_cast<uint8_t>(i))).ok());
+      object.elements.push_back({i, i, 1, ByteRange{offset, 100}, {}});
+      offset += 100;
+    }
+    ASSERT_TRUE(interp.AddObject(std::move(object)).ok());
+  }
+  auto blob = (*push)->Finish();
+  ASSERT_TRUE(blob.ok());
+  interp.set_blob(*blob);
+  TimedStream want = ReadElementLoop(store, interp, "b");
+
+  StreamReadOptions options;
+  options.chunk_size = 1000;
+  options.prefetch_depth = 0;
+  const uint64_t before = store.reads_seen();
+  auto got = MaterializeStreamed(store, interp, "b", options);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(store.reads_seen() - before, 3u);  // Chunks 5, 6 and 7.
+  ExpectSameElements(*got, want);
 }
 
 TEST(StreamingFaultTest, FailedChunkFallsBackToDirectRead) {
@@ -796,30 +878,25 @@ TEST(DatabaseStreamingTest, InjectedFaultStoreComposes) {
   auto media_id = db->AddMediaObject("clip_media", *interp_id, "clip");
   ASSERT_TRUE(media_id.ok());
 
-  // Streamed path with retries: materialization survives the 5% fault
-  // rate and matches the direct path element for element.
-  auto direct = db->MaterializeStream(*media_id);
-  // The direct path has no retry layer; tolerate a fault here by
-  // retrying the whole call (bounded).
-  for (int i = 0; i < 20 && !direct.ok(); ++i) {
-    direct = db->MaterializeStream(*media_id);
+  // The default read options are synchronous and retry nothing;
+  // tolerate a fault here by retrying the whole call (bounded).
+  EXPECT_EQ(db->read_options().prefetch_depth, 0);
+  auto sync = db->MaterializeStream(*media_id);
+  for (int i = 0; i < 20 && !sync.ok(); ++i) {
+    sync = db->MaterializeStream(*media_id);
   }
-  ASSERT_TRUE(direct.ok()) << direct.status();
+  ASSERT_TRUE(sync.ok()) << sync.status();
 
+  // Readahead with retries: materialization survives the 5% fault rate
+  // and matches the synchronous read element for element.
   StreamReadOptions options;
   options.prefetch_depth = 4;
   options.policy = FastRetryPolicy(8);
   db->set_read_options(options);
-  ASSERT_NE(db->read_options(), nullptr);
+  EXPECT_EQ(db->read_options().prefetch_depth, 4);
   auto streamed = db->MaterializeStream(*media_id);
   ASSERT_TRUE(streamed.ok()) << streamed.status();
-  ASSERT_EQ(streamed->size(), direct->size());
-  for (size_t i = 0; i < direct->size(); ++i) {
-    EXPECT_EQ(streamed->at(i).data, direct->at(i).data);
-  }
-
-  db->clear_read_options();
-  EXPECT_EQ(db->read_options(), nullptr);
+  ExpectSameElements(*streamed, *sync);
 }
 
 TEST(DatabaseStreamingTest, OpenWithInjectedFileStorePersists) {
@@ -844,19 +921,147 @@ TEST(DatabaseStreamingTest, OpenWithInjectedFileStorePersists) {
   EXPECT_TRUE((*reopened)->blob_store()->Exists(blob_id));
 }
 
-TEST(DatabaseStreamingTest, DecodeStreamedMatchesDecodeStream) {
-  MemoryBlobStore store;
+// ---------------------------------------------------------------------------
+// One decoder over two sources: decoding a drained stream and decoding
+// straight off an ElementStream agree for every type the bridge knows.
+
+std::string Fingerprint(const TimedStream& stream) {
+  std::string out = stream.descriptor().type_name;
+  for (const StreamElement& e : stream) {
+    out += '|' + std::to_string(e.start) + "+" + std::to_string(e.duration) +
+           ":" + e.descriptor.ToString() + ":" +
+           std::string(e.data.begin(), e.data.end());
+  }
+  return out;
+}
+
+std::string Fingerprint(const Image& image) {
+  return std::to_string(image.width) + "x" + std::to_string(image.height) +
+         "/" + std::to_string(static_cast<int>(image.model)) + ":" +
+         std::string(image.data.begin(), image.data.end());
+}
+
+/// Canonical text of a decoded value: equal values, equal text.
+std::string Fingerprint(const MediaValue& value) {
+  struct Visitor {
+    std::string operator()(const AudioBuffer& audio) {
+      Bytes bytes = audio.ToBytes();
+      return std::to_string(audio.sample_rate) + "/" +
+             std::to_string(audio.channels) + ":" +
+             std::string(bytes.begin(), bytes.end());
+    }
+    std::string operator()(const VideoValue& video) {
+      std::string out = video.frame_rate.ToString();
+      for (const Image& frame : video.frames) out += '|' + Fingerprint(frame);
+      return out;
+    }
+    std::string operator()(const Image& image) { return Fingerprint(image); }
+    std::string operator()(const MidiSequence& midi) {
+      auto stream = midi.ToEventStream();
+      return stream.ok() ? Fingerprint(*stream) : stream.status().ToString();
+    }
+    std::string operator()(const AnimationScene& scene) {
+      auto stream = scene.ToSceneStream();
+      return stream.ok() ? Fingerprint(*stream) : stream.status().ToString();
+    }
+    std::string operator()(const TimedStream& stream) {
+      return Fingerprint(stream);
+    }
+  };
+  return std::visit(Visitor{}, value);
+}
+
+/// A value whose stored form has media type `type`, and the options
+/// that store it so.
+MediaValue ValueOfType(const std::string& type, StoreOptions* options) {
   VideoValue video;
   video.frame_rate = Rational(25);
-  video.frames = videogen::Clip(32, 24, 6, 4);
-  StoreOptions store_options;
-  store_options.video_codec = "tjpeg";
-  auto interp = StoreValue(&store, MediaValue(video), "clip", store_options);
-  ASSERT_TRUE(interp.ok()) << interp.status();
+  video.frames = videogen::Clip(32, 24, 9, 4);
+  AudioBuffer audio = audiogen::Sine(8000, 2, 440.0, 0.5, 0.3);
+  if (type == "audio/pcm" || type == "audio/adpcm") {
+    // Stored verbatim: the bridge only writes these as foreign streams.
+    MediaDescriptor desc;
+    desc.type_name = type;
+    desc.kind = MediaKind::kAudio;
+    desc.attrs.SetInt("sample rate", audio.sample_rate);
+    desc.attrs.SetInt("number of channels", audio.channels);
+    TimedStream stream(desc, TimeSystem(audio.sample_rate));
+    if (type == "audio/pcm") {
+      Bytes bytes = audio.ToBytes();
+      for (size_t at = 0; at < bytes.size(); at += 1000) {
+        size_t n = std::min<size_t>(1000, bytes.size() - at);
+        EXPECT_TRUE(stream
+                        .AppendContiguous(Bytes(bytes.begin() + at,
+                                                bytes.begin() + at + n),
+                                          static_cast<int64_t>(n / 4))
+                        .ok());
+      }
+    } else {
+      auto blocks = AdpcmEncode(audio, 256);
+      EXPECT_TRUE(blocks.ok());
+      for (const AdpcmBlock& block : *blocks) {
+        ElementDescriptor ed;
+        for (int c = 0; c < audio.channels; ++c) {
+          std::string suffix = c == 0 ? "" : std::to_string(c);
+          ed.SetInt("predictor" + suffix, block.predictor[c]);
+          ed.SetInt("step index" + suffix, block.step_index[c]);
+        }
+        EXPECT_TRUE(
+            stream.AppendContiguous(block.data, block.frames, std::move(ed))
+                .ok());
+      }
+    }
+    return stream;
+  }
+  if (type == "audio/pcm-block") return audio;
+  if (type.starts_with("video/")) {
+    options->video_codec = type.substr(6);
+    options->key_interval = 4;
+    options->bidirectional = true;  // Out-of-order placements for TMPEG.
+    return video;
+  }
+  if (type.starts_with("image/")) {
+    options->video_codec = type.substr(6);
+    return videogen::Still(48, 32, 3);
+  }
+  if (type == "music/midi") {
+    MidiSequence midi(480, 120.0);
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(midi.AddNote(i * 120, 240, static_cast<uint8_t>(48 + i))
+                      .ok());
+    }
+    return midi;
+  }
+  if (type == "animation/scene") {
+    AnimationScene scene(64, 48, Rational(25));
+    SceneObject ball;
+    ball.id = 1;
+    EXPECT_TRUE(scene.AddObject(ball).ok());
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE(scene.AddMovement({i * 10, 8, 1, 2.0 * i, 30}).ok());
+    }
+    return scene;
+  }
+  CaptionTrack track(TimeSystem(25));
+  for (int i = 0; i < 30; ++i) {
+    EXPECT_TRUE(track.Add(i * 20, 15, "CAPTION " + std::to_string(i)).ok());
+  }
+  return *track.ToTimedStream();
+}
 
-  auto direct_stream = interp->Materialize(store, "clip");
-  ASSERT_TRUE(direct_stream.ok());
-  auto direct = DecodeStream(*direct_stream);
+class DecodeParityTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DecodeParityTest, DecodeStreamedMatchesDecodeStream) {
+  MemoryBlobStore store;
+  StoreOptions store_options;
+  MediaValue value = ValueOfType(GetParam(), &store_options);
+  auto interp = StoreValue(&store, value, "obj", store_options);
+  ASSERT_TRUE(interp.ok()) << interp.status();
+  ASSERT_EQ((*interp->FindObject("obj"))->descriptor.type_name, GetParam());
+
+  auto drained = MaterializeStreamed(store, *interp, "obj");
+  ASSERT_TRUE(drained.ok()) << drained.status();
+  auto direct = DecodeStream(*drained);
   ASSERT_TRUE(direct.ok()) << direct.status();
 
   ThreadPool pool(2);
@@ -864,17 +1069,25 @@ TEST(DatabaseStreamingTest, DecodeStreamedMatchesDecodeStream) {
   options.chunk_size = 2048;
   options.pool = &pool;
   ElementStreamStats stats;
-  auto streamed = DecodeStreamed(store, *interp, "clip", options, &stats);
+  auto streamed = DecodeStreamed(store, *interp, "obj", options, &stats);
   ASSERT_TRUE(streamed.ok()) << streamed.status();
-  EXPECT_GT(stats.elements_delivered, 0u);
-
-  const VideoValue& a = std::get<VideoValue>(*direct);
-  const VideoValue& b = std::get<VideoValue>(*streamed);
-  ASSERT_EQ(a.frames.size(), b.frames.size());
-  for (size_t i = 0; i < a.frames.size(); ++i) {
-    EXPECT_EQ(a.frames[i].data, b.frames[i].data) << "frame " << i;
-  }
+  EXPECT_EQ(stats.elements_delivered, drained->size());
+  EXPECT_EQ(Fingerprint(*streamed), Fingerprint(*direct));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBridgeTypes, DecodeParityTest,
+    ::testing::Values("audio/pcm", "audio/pcm-block", "audio/adpcm",
+                      "video/raw", "video/tjpeg", "video/tmpeg", "image/raw",
+                      "image/tjpeg", "music/midi", "animation/scene",
+                      "text/captions"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& c : name) {
+        if (c == '/' || c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace tbm

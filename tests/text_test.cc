@@ -7,6 +7,7 @@
 #include "codec/synthetic.h"
 #include "db/codec_bridge.h"
 #include "derive/operators.h"
+#include "interp/streaming.h"
 #include "stream/category.h"
 #include "text/captions.h"
 #include "text/font.h"
@@ -121,7 +122,7 @@ TEST(CaptionTest, StoresThroughBridge) {
   ASSERT_TRUE(stream.ok());
   auto interp = StoreValue(&store, MediaValue(*stream), "captions");
   ASSERT_TRUE(interp.ok());
-  auto materialized = interp->Materialize(store, "captions");
+  auto materialized = MaterializeStreamed(store, *interp, "captions");
   ASSERT_TRUE(materialized.ok());
   auto value = DecodeStream(*materialized);
   ASSERT_TRUE(value.ok());

@@ -165,7 +165,7 @@ TEST(WalTest, AutoCheckpointAtThreshold) {
     auto db = OpenDb(dir, options);
     ASSERT_TRUE(db.ok()) << db.status();
     for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE((*db)->AddEntity("e" + std::to_string(i), {}).ok());
+      ASSERT_TRUE((*db)->AddEntity('e' + std::to_string(i), {}).ok());
     }
     EXPECT_GT((*db)->wal_status().checkpoint_count, 0u);
     // The log never grows far past the threshold.
@@ -174,7 +174,7 @@ TEST(WalTest, AutoCheckpointAtThreshold) {
   auto db = OpenDb(dir);
   ASSERT_TRUE(db.ok()) << db.status();
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE((*db)->FindByName("e" + std::to_string(i)).ok());
+    EXPECT_TRUE((*db)->FindByName('e' + std::to_string(i)).ok());
   }
 }
 
@@ -603,7 +603,9 @@ void VerifyRecovered(const std::string& dir, const WorkloadResult& result,
       EXPECT_TRUE((*db)->rights().IsProtected(*e1));
     } else if (result.rights == 0 && result.first_failure != "rights") {
       auto e1 = (*db)->FindByName("e1");
-      if (e1.ok()) EXPECT_FALSE((*db)->rights().IsProtected(*e1));
+      if (e1.ok()) {
+        EXPECT_FALSE((*db)->rights().IsProtected(*e1));
+      }
     }
     // Structural consistency: every row resolves both ways.
     for (ObjectId id : (*db)->List()) {
@@ -661,7 +663,7 @@ TEST(WalConcurrencyTest, ConcurrentWritersAllDurable) {
       writers.emplace_back([&db, t] {
         for (int i = 0; i < kPerThread; ++i) {
           auto id = (*db)->AddEntity(
-              "w" + std::to_string(t) + "_" + std::to_string(i), {});
+              'w' + std::to_string(t) + '_' + std::to_string(i), {});
           ASSERT_TRUE(id.ok()) << id.status();
         }
       });
@@ -678,7 +680,7 @@ TEST(WalConcurrencyTest, ConcurrentWritersAllDurable) {
     for (int i = 0; i < kPerThread; ++i) {
       EXPECT_TRUE(
           (*db)
-              ->FindByName("w" + std::to_string(t) + "_" + std::to_string(i))
+              ->FindByName('w' + std::to_string(t) + '_' + std::to_string(i))
               .ok());
     }
   }
@@ -693,7 +695,7 @@ TEST(WalConcurrencyTest, WritersRaceCheckpoints) {
     workers.emplace_back([&db, t] {
       for (int i = 0; i < 20; ++i) {
         auto id = (*db)->AddEntity(
-            "r" + std::to_string(t) + "_" + std::to_string(i), {});
+            'r' + std::to_string(t) + '_' + std::to_string(i), {});
         ASSERT_TRUE(id.ok()) << id.status();
       }
     });
