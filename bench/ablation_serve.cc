@@ -32,7 +32,7 @@
 #include "blob/memory_store.h"
 #include "db/database.h"
 #include "interp/capture.h"
-#include "serve/client.h"
+#include "serve/connection.h"
 #include "serve/server.h"
 
 namespace tbm {
@@ -115,24 +115,32 @@ int Run(int argc, char** argv) {
   serve::MediaServer sized_server(db.get(), config);
 
   // ---- Phase 1: sequential admissions (exact degrade-before-deny order).
-  std::vector<std::unique_ptr<serve::MediaClient>> clients;
+  // One connection per session; the stream is declared second so it
+  // is destroyed before the connection it belongs to.
+  struct Client {
+    std::unique_ptr<serve::Connection> connection;
+    std::unique_ptr<serve::StreamHandle> stream;
+  };
+  std::vector<Client> clients;
   int admitted_full = 0, admitted_degraded = 0, denied = 0;
   bool deny_before_degrade = false;
   for (int i = 0; i < kSessionsAttempted; ++i) {
     auto [client_end, server_end] = serve::CreateLoopbackPair();
     CheckOk(sized_server.Serve(std::move(server_end)), "adopt connection");
-    auto client = std::make_unique<serve::MediaClient>(std::move(client_end));
-    auto open = client->Open("clip");
-    if (!open.ok()) {
+    Client client;
+    client.connection = serve::Connect(std::move(client_end));
+    auto stream = client.connection->OpenStream("clip");
+    if (!stream.ok()) {
       ++denied;
       if (admitted_degraded == 0) deny_before_degrade = true;
       continue;
     }
-    if (open->stride > 1) {
+    if ((*stream)->info().stride > 1) {
       ++admitted_degraded;
     } else {
       ++admitted_full;
     }
+    client.stream = std::move(*stream);
     clients.push_back(std::move(client));
   }
   int admitted = admitted_full + admitted_degraded;
@@ -148,8 +156,8 @@ int Run(int argc, char** argv) {
                           .count();
   std::vector<std::thread> threads;
   threads.reserve(clients.size());
-  for (auto& client_ptr : clients) {
-    threads.emplace_back([&, client = client_ptr.get()] {
+  for (Client& client_slot : clients) {
+    threads.emplace_back([&, client = client_slot.stream.get()] {
       std::vector<double> local_latencies;
       int local_mismatches = 0;
       bool end_of_stream = false;

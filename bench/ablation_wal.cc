@@ -2,7 +2,7 @@
 // catalog (DESIGN.md §16). The paper's catalog is the system of record
 // for every interpretation and derivation, so losing an acknowledged
 // mutation is not acceptable — but neither is paying a full snapshot
-// per mutation (the pre-WAL Save() model). This bench quantifies the
+// per mutation (the pre-WAL snapshot model). This bench quantifies the
 // WAL trade: per-commit latency with and without the fsync, how much
 // of the fsync cost group commit amortizes across concurrent writers,
 // what a checkpoint costs, and how fast recovery replays the log on

@@ -47,13 +47,13 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(QueuedTask{std::move(task), MonotonicNs()});
-    depth = queue_.size();
+    // Reported under the lock: reported outside it, a stale depth
+    // could land after a newer one and stick.
+    ReportDepth(queue_.size());
   }
-  ReportDepth(depth);
   cv_.notify_one();
 }
 
@@ -70,16 +70,14 @@ int ThreadPool::DefaultThreads() {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     QueuedTask task;
-    size_t depth;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown_ with a drained queue.
       task = std::move(queue_.front());
       queue_.pop_front();
-      depth = queue_.size();
+      ReportDepth(queue_.size());
     }
-    ReportDepth(depth);
     auto* done = g_on_task_done.load(std::memory_order_relaxed);
     if (done == nullptr) {
       task.fn();

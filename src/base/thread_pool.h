@@ -23,7 +23,8 @@ namespace tbm {
 /// must be cheap and non-blocking.
 struct ThreadPoolHooks {
   /// Queue depth after an enqueue or dequeue (tasks waiting, not
-  /// counting ones already running).
+  /// counting ones already running). Called with the pool's queue
+  /// lock held, so it must be cheap and must not touch the pool.
   void (*on_queue_depth)(int64_t depth) = nullptr;
 
   /// A task finished; `run_us` is its execution time and `queue_us`

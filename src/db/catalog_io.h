@@ -2,7 +2,7 @@
 #define TBM_DB_CATALOG_IO_H_
 
 /// Binary (de)serialization of catalog entries, shared by the snapshot
-/// writer (checkpoint / Save) and the write-ahead log, whose upsert
+/// writer (Checkpoint()) and the write-ahead log, whose upsert
 /// records carry one full entry each. Keeping a single codec means a
 /// replayed record and a snapshotted row can never diverge.
 

@@ -519,11 +519,6 @@ Status MediaDatabase::Remove(ObjectId id) {
   return FinishCommitOrRollback(lsn, id, std::move(prior));
 }
 
-Result<size_t> MediaDatabase::VacuumBlobs() {
-  TBM_ASSIGN_OR_RETURN(BlobGcStats stats, CollectBlobGarbage());
-  return static_cast<size_t>(stats.swept);
-}
-
 Result<MediaDatabase::BlobGcStats> MediaDatabase::CollectBlobGarbage() {
   // Mark: every blob a live interpretation places into.
   std::set<BlobId> referenced;
@@ -917,14 +912,6 @@ Status MediaDatabase::CheckpointLocked() const {
   Bytes snapshot =
       SerializeSnapshot(checkpoint_lsn, next_id, catalog_copy, rights_copy);
   return wal_->InstallCheckpoint(CatalogPath(dir_), snapshot, checkpoint_lsn);
-}
-
-Status MediaDatabase::Save() const {
-  if (dir_.empty()) {
-    return Status::FailedPrecondition(
-        "in-memory databases cannot be saved; open with a directory");
-  }
-  return Checkpoint();
 }
 
 wal::WalStatus MediaDatabase::wal_status() const {

@@ -84,11 +84,11 @@ struct ComposedView {
 /// A database opened with `Open(dir)` is durable and transactional
 /// (DESIGN.md §16): every catalog mutation is appended to a
 /// write-ahead log and fsynced before the call returns, so an
-/// acknowledged mutation survives a crash with no explicit Save().
+/// acknowledged mutation survives a crash with no explicit checkpoint.
 /// Concurrent writers share one fsync (group commit). A checkpoint —
 /// taken automatically when the log grows past
 /// `WalOptions::checkpoint_threshold_bytes`, or explicitly via
-/// Checkpoint()/Save() — folds the log into the snapshot
+/// Checkpoint() — folds the log into the snapshot
 /// (`catalog.tbm`, atomically replaced) and truncates it. Opening the
 /// directory replays any log records past the snapshot, stopping
 /// cleanly at a torn tail. A `LOCK` file makes the directory
@@ -103,7 +103,7 @@ struct ComposedView {
 /// ambiguity as any client whose commit request times out.
 ///
 /// `CreateInMemory()` keeps everything in RAM for tests and scratch
-/// work; it has no log and Save() fails.
+/// work; it has no log and Checkpoint() fails.
 ///
 /// Thread model (unchanged from pre-WAL behavior for readers):
 /// mutators are serialized by an internal lock and may run concurrently
@@ -135,7 +135,7 @@ class MediaDatabase {
   static std::unique_ptr<MediaDatabase> CreateInMemory();
 
   /// Creates a database over an injected store with no catalog
-  /// persistence (Save is a no-op).
+  /// persistence (Checkpoint() fails with FailedPrecondition).
   static std::unique_ptr<MediaDatabase> CreateWithStore(
       std::unique_ptr<BlobStore> store);
 
@@ -190,11 +190,6 @@ class MediaDatabase {
 
   Status Remove(ObjectId id);
 
-  /// Garbage-collects BLOBs no interpretation references (e.g. after
-  /// Remove()ing an interpretation, or for BLOBs captured but never
-  /// registered). Returns the number of BLOBs deleted.
-  Result<size_t> VacuumBlobs();
-
   /// Outcome of CollectBlobGarbage().
   struct BlobGcStats {
     uint64_t live = 0;             ///< Blobs referenced by interpretations.
@@ -206,11 +201,13 @@ class MediaDatabase {
     uint64_t pause_us = 0;         ///< Mutator-excluding pause (CAS only).
   };
 
-  /// Full mark-and-sweep BLOB collection: marks every blob a live
+  /// Garbage-collects BLOBs no interpretation references (e.g. after
+  /// Remove()ing an interpretation, or for BLOBs captured but never
+  /// registered) by full mark-and-sweep: marks every blob a live
   /// interpretation places into, then sweeps the rest. Over a
   /// CasBlobStore this runs the store's concurrent-safe Sweep (racing
   /// pushes pin their hash); over any other store it falls back to
-  /// List() + Delete(). VacuumBlobs() is the thin legacy wrapper.
+  /// List() + Delete().
   Result<BlobGcStats> CollectBlobGarbage();
 
   // -------------------------------------------------------------------------
@@ -357,11 +354,6 @@ class MediaDatabase {
   /// records the checkpoint LSN in the superblock, and truncates the
   /// WAL. FailedPrecondition on in-memory databases.
   Status Checkpoint() const;
-
-  /// Writes the catalog snapshot; on a WAL-backed database this is
-  /// Checkpoint(). Kept for compatibility — mutations are already
-  /// durable without it. FailedPrecondition on in-memory databases.
-  Status Save() const;
 
   /// Durability counters: LSNs, segment count, log size. `enabled` is
   /// false for in-memory databases.

@@ -90,51 +90,23 @@ Result<T*> StageAs(MediaValue* value, const char* what) {
   return typed;
 }
 
-// Canonical parameter keys contain spaces ("target peak"); the
-// underscore alias ("target_peak") is accepted everywhere. The
-// canonical spelling wins when both are present.
-std::string UnderscoreAlias(std::string_view name) {
-  std::string alias(name);
-  for (char& c : alias) {
-    if (c == ' ') c = '_';
-  }
-  return alias;
-}
-
+// Parameter keys are the paper's spaced names ("target peak").
 int64_t ParamInt(const AttrMap& params, std::string_view name,
                  int64_t fallback) {
   auto v = params.GetInt(name);
-  if (v.ok()) return *v;
-  std::string alias = UnderscoreAlias(name);
-  if (alias != name) {
-    auto a = params.GetInt(alias);
-    if (a.ok()) return *a;
-  }
-  return fallback;
+  return v.ok() ? *v : fallback;
 }
 
 double ParamDouble(const AttrMap& params, std::string_view name,
                    double fallback) {
   auto v = params.GetDouble(name);
-  if (v.ok()) return *v;
-  std::string alias = UnderscoreAlias(name);
-  if (alias != name) {
-    auto a = params.GetDouble(alias);
-    if (a.ok()) return *a;
-  }
-  return fallback;
+  return v.ok() ? *v : fallback;
 }
 
 std::string ParamString(const AttrMap& params, std::string_view name,
                         std::string fallback) {
   auto v = params.GetString(name);
-  if (v.ok()) return *v;
-  std::string alias = UnderscoreAlias(name);
-  if (alias != name) {
-    auto a = params.GetString(alias);
-    if (a.ok()) return *a;
-  }
-  return fallback;
+  return v.ok() ? *v : fallback;
 }
 
 // ---------------------------------------------------------------------------

@@ -131,12 +131,9 @@ struct DerivationOp {
 /// | temporal translate   | any stream    | same   | timing   |
 /// | temporal scale       | any stream    | same   | timing   |
 ///
-/// Parameter naming: canonical parameter keys use spaces, matching the
-/// paper's prose — e.g. "target peak", "scale num", "under color
-/// removal". Every lookup also accepts the underscore alias
-/// ("target_peak", "scale_num", "under_color_removal") for callers
-/// whose key syntax cannot carry spaces; when both spellings are
-/// present the canonical (spaced) key wins.
+/// Parameter naming: parameter keys use spaces, matching the paper's
+/// prose — e.g. "target peak", "scale num", "under color removal".
+/// There is one spelling per key; an unknown key is ignored.
 class DerivationRegistry {
  public:
   Status Register(DerivationOp op);

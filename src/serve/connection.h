@@ -20,7 +20,7 @@ namespace tbm::serve {
 
 class StreamHandle;
 
-/// Client half of the multiplexed (v2) serve protocol: one connection
+/// Client half of the multiplexed serve protocol: one connection
 /// carries many concurrent streams, each opened with its own QoS
 /// parameters and driven independently.
 ///
@@ -44,7 +44,7 @@ class StreamHandle;
 ///
 /// Every connection mints one trace id; each round trip records a
 /// client-side span in that trace and ships the context to the
-/// server, exactly as the single-stream client did.
+/// server.
 ///
 /// Thread safety: OpenStream / Telemetry / ok() may be called from any
 /// thread. A StreamHandle must not outlive its Connection.

@@ -15,38 +15,33 @@
 
 namespace tbm::serve {
 
-/// Versioned frame envelope for the multiplexed wire protocol.
+/// Frame envelope for the multiplexed wire protocol.
 ///
-/// Every frame on the wire is `u32 body length (LE) | body`. The body
-/// is discriminated by its first byte:
-///
-///   v1 (single-stream, PR 5 wire format): the first byte is the
-///   request/response type tag, a small enum in [0x01, 0x3F]. The
-///   whole body is the protocol payload and the frame belongs to the
-///   connection's implicit stream 0.
-///
-///   v2 (multiplexed): the first byte is kFrameV2Marker (0xF2 — a
-///   value no v1 type tag can take), followed by
+/// Every frame on the wire is `u32 body length (LE) | body`, and every
+/// body is
 ///
 ///     u8 marker (0xF2) | u8 flags | u32 stream id (LE) | payload
 ///
-///   `flags` must currently be 0 (reserved; nonzero is rejected so
-///   future bits can change semantics safely). The payload is the
-///   same protocol encoding v1 uses.
+/// `flags` must currently be 0 (reserved; nonzero is rejected so
+/// future bits can change semantics safely). The payload is the
+/// protocol encoding of one request or response (serve/protocol.h).
 ///
 /// Any other first byte is an unknown frame version and the
 /// connection is unframeable — the decoder returns InvalidArgument
 /// and the server drops the connection rather than guessing.
 
 inline constexpr uint8_t kFrameV2Marker = 0xF2;
-inline constexpr uint8_t kMaxV1TypeByte = 0x3F;
 inline constexpr size_t kFrameV2HeaderBytes = 6;  // marker + flags + stream id
 
 /// Decoded frame envelope.
 struct FrameHeader {
-  uint8_t version = 2;    ///< 1 or 2.
-  uint8_t flags = 0;      ///< v2 only; always 0 today.
-  uint64_t stream_id = 0; ///< 0 for v1 frames (the implicit stream).
+  /// Envelope version: 2, the only one (the 0xF2 marker byte). The
+  /// codec neither reads nor checks it; it stays the first member so
+  /// that positional initializers `FrameHeader{2, flags, stream_id}`
+  /// (perfbench/play.cc) keep compiling.
+  uint8_t version = 2;
+  uint8_t flags = 0;      ///< Always 0 today.
+  uint64_t stream_id = 0;
 };
 
 /// One whole frame: envelope + protocol payload (request or response
@@ -56,9 +51,8 @@ struct Frame {
   Bytes payload;
 };
 
-/// Encodes a frame *body* (no u32 length prefix). version 1 emits the
-/// payload verbatim; version 2 prepends the marker/flags/stream-id
-/// header.
+/// Encodes a frame *body* (no u32 length prefix): the marker/flags/
+/// stream-id header followed by the payload.
 Bytes EncodeFrameBody(const FrameHeader& header, ByteSpan payload);
 
 /// Encodes a whole wire frame: u32 length prefix + body.
@@ -66,13 +60,13 @@ Bytes EncodeFrame(const FrameHeader& header, ByteSpan payload);
 
 /// Splits a frame body into envelope + payload. InvalidArgument on an
 /// unknown version byte or nonzero reserved flags; Corruption on a
-/// body too short to hold the v2 header.
+/// body too short to hold the header.
 Result<Frame> DecodeFrameBody(ByteSpan body);
 
 /// Incremental frame reassembly over an arbitrary-cut byte stream.
 /// Feed bytes as they arrive with Ingest(), then drain complete
 /// frames with Next(). Hostile input (oversized length prefix,
-/// unknown version, bad flags, truncated v2 header) surfaces as an
+/// unknown version, bad flags, truncated header) surfaces as an
 /// error from Next(), after which the stream is poisoned — the only
 /// safe recovery is dropping the connection.
 class FrameAssembler {

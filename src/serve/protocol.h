@@ -36,7 +36,7 @@ enum class RequestType : uint8_t {
   kStats = 4,  ///< Session counters and state.
   kClose = 5,  ///< End the session.
   kTelemetry = 6,  ///< Server-wide metrics snapshot (no session needed).
-  /// One-way flow-control credit (v2 multiplexed connections only):
+  /// One-way flow-control credit (streams opened with a window only):
   /// grants the server `window_delta` more bytes of READ data on this
   /// stream. The server never responds to WINDOW — it is pure credit,
   /// not an RPC — so it rides alongside the one-outstanding-request-
@@ -59,8 +59,8 @@ struct TraceContext {
 
 /// Per-stream quality-of-service parameters, carried on OPEN as
 /// extension tag 2. Everything here defaults to "server decides":
-/// a v1 client that never heard of QoS gets priority 4, the server's
-/// stride ladder, and no flow-control window (the v1 contract).
+/// an OPEN without the extension gets priority 4, the server's stride
+/// ladder, and no flow-control window.
 struct StreamQos {
   /// Write-scheduling priority, 0 (most urgent) .. 7 (background).
   /// The server's priority write scheduler drains all sendable frames
@@ -71,7 +71,7 @@ struct StreamQos {
   uint32_t max_stride = 0;
   /// Initial flow-control window, bytes of READ payload the server
   /// may have in flight before it must wait for WINDOW credits.
-  /// 0 = no flow control (v1 semantics).
+  /// 0 = no flow control: READ data is sent as soon as it is ready.
   uint64_t window_bytes = 0;
 
   bool present() const {

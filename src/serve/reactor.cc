@@ -63,6 +63,17 @@ void Reactor::Stop() {
   }
   Wake();
   if (loop_.joinable()) loop_.join();
+  // A transport may stay registered past the loop (and outlive this
+  // reactor): take back the wakers, as Deregister does, so a later
+  // Close() on it never calls MarkReady on a dead reactor.
+  std::vector<Transport*> in_process;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [id, entry] : entries_) {
+      if (entry.fd < 0) in_process.push_back(entry.transport);
+    }
+  }
+  for (Transport* transport : in_process) transport->SetWaker(nullptr);
   if (epoll_fd_ >= 0) {
     ::close(epoll_fd_);
     epoll_fd_ = -1;

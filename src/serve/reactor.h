@@ -76,7 +76,8 @@ class Reactor {
   void PostDelayed(std::chrono::milliseconds delay, std::function<void()> fn);
 
   /// Stops the loop and joins the thread. Idempotent. Pending posted
-  /// tasks and timers are discarded.
+  /// tasks and timers are discarded, and in-process transports still
+  /// registered get their waker cleared.
   void Stop();
 
   bool InLoop() const {

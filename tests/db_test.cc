@@ -299,7 +299,7 @@ TEST(DbTest, ExpandAndStoreWithTmpegOptions) {
   EXPECT_EQ(std::get<VideoValue>(*value).frames.size(), 12u);
 }
 
-TEST(DbTest, VacuumBlobsCollectsUnreferenced) {
+TEST(DbTest, CollectBlobGarbageSweepsUnreferenced) {
   auto db = MediaDatabase::CreateInMemory();
   auto [video, audio] = IngestClip(db.get(), "vac", 14);
   (void)video;
@@ -309,22 +309,22 @@ TEST(DbTest, VacuumBlobsCollectsUnreferenced) {
   ASSERT_TRUE(orphan.ok());
   ASSERT_EQ(db->blob_store()->List().size(), 2u);
 
-  auto deleted = db->VacuumBlobs();
-  ASSERT_TRUE(deleted.ok());
-  EXPECT_EQ(*deleted, 1u);
+  auto gc = db->CollectBlobGarbage();
+  ASSERT_TRUE(gc.ok());
+  EXPECT_EQ(gc->swept, 1u);
   EXPECT_FALSE(db->blob_store()->Exists(*orphan));
   // Referenced BLOB survives; media still materializes.
   EXPECT_TRUE(db->MaterializeStream(video).ok());
   // Idempotent.
-  EXPECT_EQ(*db->VacuumBlobs(), 0u);
+  EXPECT_EQ(db->CollectBlobGarbage()->swept, 0u);
 
-  // After removing all catalog references, vacuum reclaims the BLOB.
+  // After removing all catalog references, GC reclaims the BLOB.
   auto interp = db->FindByName("vac_interp");
   ASSERT_TRUE(interp.ok());
   ASSERT_TRUE(db->Remove(audio).ok());
   ASSERT_TRUE(db->Remove(video).ok());
   ASSERT_TRUE(db->Remove(*interp).ok());
-  EXPECT_EQ(*db->VacuumBlobs(), 1u);
+  EXPECT_EQ(db->CollectBlobGarbage()->swept, 1u);
   EXPECT_TRUE(db->blob_store()->List().empty());
 }
 
@@ -388,7 +388,7 @@ TEST(DbTest, SaveAndReopen) {
     auto mm_id = (*db)->AddMultimediaObject("show", components);
     ASSERT_TRUE(mm_id.ok());
     mm = *mm_id;
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   auto db = MediaDatabase::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status();
@@ -417,7 +417,7 @@ TEST(DbTest, CatalogCorruptionDetected) {
     auto db = MediaDatabase::Open(dir);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->AddEntity("e", {}).ok());
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   // Flip a byte in the catalog body.
   std::string path = MediaDatabase::CatalogPath(dir);
@@ -430,7 +430,7 @@ TEST(DbTest, CatalogCorruptionDetected) {
 
 TEST(DbTest, InMemoryCannotSave) {
   auto db = MediaDatabase::CreateInMemory();
-  EXPECT_TRUE(db->Save().IsFailedPrecondition());
+  EXPECT_TRUE(db->Checkpoint().IsFailedPrecondition());
 }
 
 // ---------------------------------------------------------------------------

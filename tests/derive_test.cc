@@ -87,39 +87,7 @@ TEST(RegistryTest, ArityAndKindChecked) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter key aliases
-
-TEST(ParamAliasTest, UnderscoreAliasesMatchSpacedKeys) {
-  MediaValue tone = audiogen::Sine(8000, 1, 440, 0.2, 0.5);
-
-  AttrMap spaced;
-  spaced.SetDouble("target peak", 0.8);
-  AttrMap underscored;
-  underscored.SetDouble("target_peak", 0.8);
-  auto a = Reg().Apply("audio normalization", {&tone}, spaced);
-  auto b = Reg().Apply("audio normalization", {&tone}, underscored);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(std::get<AudioBuffer>(*a).samples[777],
-            std::get<AudioBuffer>(*b).samples[777]);
-
-  // Multi-word int keys alias the same way.
-  AttrMap fade_spaced;
-  fade_spaced.SetInt("fade in frames", 1000);
-  fade_spaced.SetInt("fade out frames", 500);
-  AttrMap fade_underscored;
-  fade_underscored.SetInt("fade_in_frames", 1000);
-  fade_underscored.SetInt("fade_out_frames", 500);
-  auto c = Reg().Apply("audio fade", {&tone}, fade_spaced);
-  auto d = Reg().Apply("audio fade", {&tone}, fade_underscored);
-  ASSERT_TRUE(c.ok()) << c.status();
-  ASSERT_TRUE(d.ok()) << d.status();
-  EXPECT_EQ(std::get<AudioBuffer>(*c).samples[123],
-            std::get<AudioBuffer>(*d).samples[123]);
-  // And the alias really took effect (index 123 is inside the fade-in).
-  EXPECT_NE(std::get<AudioBuffer>(*c).samples[123],
-            std::get<AudioBuffer>(tone).samples[123]);
-}
+// Parameter keys
 
 TEST(ParamAliasTest, CanonicalSpacedKeyWinsOverAlias) {
   MediaValue tone = audiogen::Sine(8000, 1, 440, 0.2, 0.5);
@@ -134,6 +102,19 @@ TEST(ParamAliasTest, CanonicalSpacedKeyWinsOverAlias) {
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(std::get<AudioBuffer>(*a).samples[777],
             std::get<AudioBuffer>(*b).samples[777]);
+
+  // Keys have one spelling: an underscored key alone is an unknown
+  // key, so the operator runs with its default.
+  AttrMap underscored;
+  underscored.SetDouble("target_peak", 0.1);
+  auto c = Reg().Apply("audio normalization", {&tone}, underscored);
+  auto d = Reg().Apply("audio normalization", {&tone}, AttrMap{});
+  ASSERT_TRUE(c.ok()) << c.status();
+  ASSERT_TRUE(d.ok()) << d.status();
+  EXPECT_EQ(std::get<AudioBuffer>(*c).samples[777],
+            std::get<AudioBuffer>(*d).samples[777]);
+  EXPECT_NE(std::get<AudioBuffer>(*c).samples[777],
+            std::get<AudioBuffer>(*a).samples[777]);
 }
 
 // ---------------------------------------------------------------------------

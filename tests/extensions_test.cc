@@ -575,7 +575,7 @@ TEST(DbRightsTest, RightsSurviveReopen) {
                     ->rights()
                     .Grant(video, "bob", MaskOf(MediaOperation::kRead))
                     .ok());
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   auto db = MediaDatabase::Open(dir);
   ASSERT_TRUE(db.ok()) << db.status();

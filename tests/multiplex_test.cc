@@ -65,11 +65,10 @@ std::unique_ptr<MediaDatabase> BuildMultiplexDb() {
   return db;
 }
 
-// Sends `request` as a v2 frame on `stream_id` over a raw transport.
+// Sends `request` as a frame on `stream_id` over a raw transport.
 Status SendV2(Transport& transport, uint64_t stream_id,
               const Request& request) {
   FrameHeader header;
-  header.version = 2;
   header.stream_id = stream_id;
   return WriteFrame(transport, EncodeFrameBody(header, EncodeRequest(request)));
 }
@@ -89,53 +88,38 @@ Result<std::pair<uint64_t, Response>> RecvV2(Transport& transport) {
 TEST(FramingTest, V2EnvelopeRoundTrips) {
   Bytes payload = {0x01, 0x02, 0x03, 0x04};
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 0xDEADBEEF;
   Bytes body = EncodeFrameBody(header, payload);
   ASSERT_EQ(body.size(), kFrameV2HeaderBytes + payload.size());
   EXPECT_EQ(body[0], kFrameV2Marker);
   auto frame = DecodeFrameBody(body);
   ASSERT_TRUE(frame.ok()) << frame.status().message();
-  EXPECT_EQ(frame->header.version, 2);
   EXPECT_EQ(frame->header.flags, 0);
   EXPECT_EQ(frame->header.stream_id, 0xDEADBEEFu);
   EXPECT_EQ(frame->payload, payload);
 
-  // An empty payload is legal in a v2 envelope.
+  // An empty payload is legal in an envelope.
   auto empty = DecodeFrameBody(EncodeFrameBody(header, {}));
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->payload.empty());
   EXPECT_EQ(empty->header.stream_id, 0xDEADBEEFu);
 }
 
-TEST(FramingTest, V1BodyPassesThroughAsStreamZero) {
-  // A v1 body is the protocol payload verbatim: first byte is a type
-  // tag in [0x01, kMaxV1TypeByte].
-  for (uint8_t tag : {uint8_t{0x01}, uint8_t{0x07}, kMaxV1TypeByte}) {
-    Bytes body = {tag, 0xAA, 0xBB};
-    auto frame = DecodeFrameBody(body);
-    ASSERT_TRUE(frame.ok()) << "tag=" << int{tag};
-    EXPECT_EQ(frame->header.version, 1);
-    EXPECT_EQ(frame->header.stream_id, 0u);
-    EXPECT_EQ(frame->payload, body);
-  }
-  // And v1 encode is the identity.
-  FrameHeader v1;
-  v1.version = 1;
-  Bytes payload = {0x02, 0x09};
-  EXPECT_EQ(EncodeFrameBody(v1, payload), payload);
-}
-
 // ---------------------------------------------------------------------------
 // Frame envelope: hostile input
 
 TEST(FramingFuzzTest, UnknownVersionBytesRejected) {
-  for (uint8_t first : {uint8_t{0x00}, uint8_t{0x40}, uint8_t{0x80},
-                        uint8_t{0xF1}, uint8_t{0xF3}, uint8_t{0xFF}}) {
-    Bytes body = {first, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01};
+  // Every first byte but the marker is an unknown version — including
+  // 0x01..0x3F, the request/response type tags, so a bare protocol
+  // payload without an envelope is rejected rather than guessed at.
+  for (int first = 0; first <= 0xFF; ++first) {
+    if (first == kFrameV2Marker) continue;
+    Bytes body = {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01};
+    body[0] = static_cast<uint8_t>(first);
     auto frame = DecodeFrameBody(body);
-    ASSERT_FALSE(frame.ok()) << "first=" << int{first};
-    EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+    ASSERT_FALSE(frame.ok()) << "first=" << first;
+    EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument)
+        << "first=" << first;
   }
   // Empty bodies are unframeable too.
   EXPECT_FALSE(DecodeFrameBody(ByteSpan()).ok());
@@ -143,7 +127,6 @@ TEST(FramingFuzzTest, UnknownVersionBytesRejected) {
 
 TEST(FramingFuzzTest, NonzeroReservedFlagsRejected) {
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 3;
   Bytes inner = {0x05, 0x00};
   Bytes body = EncodeFrameBody(header, inner);
@@ -163,7 +146,6 @@ TEST(FramingFuzzTest, V2BodyTruncatedAtEveryCut) {
   open.qos.priority = 2;
   open.qos.window_bytes = 4096;
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 12;
   Bytes body = EncodeFrameBody(header, EncodeRequest(open));
 
@@ -203,7 +185,6 @@ TEST(FramingFuzzTest, AssemblerOversizedLengthPoisonsStream) {
 
   // The stream stays poisoned even if valid frames follow.
   FrameHeader header;
-  header.version = 2;
   header.stream_id = 1;
   Bytes valid = {0x01};
   assembler.Ingest(EncodeFrame(header, valid));
@@ -211,33 +192,41 @@ TEST(FramingFuzzTest, AssemblerOversizedLengthPoisonsStream) {
 }
 
 TEST(FramingFuzzTest, AssemblerUnknownVersionPoisonsStream) {
-  FrameAssembler assembler;
-  Bytes wire = {4, 0, 0, 0, 0x77, 1, 2, 3};  // Length 4, first byte 0x77.
-  assembler.Ingest(wire);
-  auto poisoned = assembler.Next();
-  ASSERT_FALSE(poisoned.ok());
-  EXPECT_EQ(poisoned.status().code(), StatusCode::kInvalidArgument);
+  // 0x77, and every type tag 0x01..0x3F sent as a bare body.
+  std::vector<uint8_t> firsts = {0x77};
+  for (uint8_t tag = 0x01; tag <= 0x3F; ++tag) firsts.push_back(tag);
+  FrameHeader header;
+  header.stream_id = 1;
+  for (uint8_t first : firsts) {
+    FrameAssembler assembler;
+    Bytes wire = {4, 0, 0, 0, first, 1, 2, 3};  // Length 4.
+    assembler.Ingest(wire);
+    auto poisoned = assembler.Next();
+    ASSERT_FALSE(poisoned.ok()) << "first=" << int{first};
+    EXPECT_EQ(poisoned.status().code(), StatusCode::kInvalidArgument);
+    // A valid frame after the bad one does not unpoison the stream.
+    assembler.Ingest(EncodeFrame(header, Bytes{0x01}));
+    EXPECT_FALSE(assembler.Next().ok()) << "first=" << int{first};
+  }
 }
 
 TEST(FramingFuzzTest, AssemblerReassemblesByteAtATime) {
-  // Three frames — v1, v2 stream 9, v2 stream 0x01020304 — fed one
+  // Three frames — stream 0, stream 9, stream 0x01020304 — fed one
   // byte at a time: every possible cut point is exercised and each
   // frame must come out whole, in order, on the right stream.
-  FrameHeader v1;
-  v1.version = 1;
-  FrameHeader v2a;
-  v2a.version = 2;
-  v2a.stream_id = 9;
-  FrameHeader v2b;
-  v2b.version = 2;
-  v2b.stream_id = 0x01020304;
+  FrameHeader first;
+  first.stream_id = 0;
+  FrameHeader second;
+  second.stream_id = 9;
+  FrameHeader third;
+  third.stream_id = 0x01020304;
   Bytes p1 = {0x03, 0xAA};
   Bytes p2 = ElementPayload(1);
   Bytes p3 = {};
 
   Bytes wire;
-  for (const Bytes& piece :
-       {EncodeFrame(v1, p1), EncodeFrame(v2a, p2), EncodeFrame(v2b, p3)}) {
+  for (const Bytes& piece : {EncodeFrame(first, p1), EncodeFrame(second, p2),
+                             EncodeFrame(third, p3)}) {
     wire.insert(wire.end(), piece.begin(), piece.end());
   }
 
@@ -253,13 +242,10 @@ TEST(FramingFuzzTest, AssemblerReassemblesByteAtATime) {
     }
   }
   ASSERT_EQ(frames.size(), 3u);
-  EXPECT_EQ(frames[0].header.version, 1);
   EXPECT_EQ(frames[0].header.stream_id, 0u);
   EXPECT_EQ(frames[0].payload, p1);
-  EXPECT_EQ(frames[1].header.version, 2);
   EXPECT_EQ(frames[1].header.stream_id, 9u);
   EXPECT_EQ(frames[1].payload, p2);
-  EXPECT_EQ(frames[2].header.version, 2);
   EXPECT_EQ(frames[2].header.stream_id, 0x01020304u);
   EXPECT_TRUE(frames[2].payload.empty());
   EXPECT_EQ(assembler.buffered_bytes(), 0u);

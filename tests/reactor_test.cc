@@ -54,6 +54,33 @@ class RecordingHandler : public Reactor::Handler {
   }
 };
 
+// Forwards to a loopback endpoint and records whether a waker is
+// installed, so a test can see what the reactor leaves behind.
+class WakerProbe : public Transport {
+ public:
+  explicit WakerProbe(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  Result<size_t> ReadSome(uint8_t* out, size_t n) override {
+    return inner_->ReadSome(out, n);
+  }
+  Result<size_t> WriteSome(ByteSpan data) override {
+    return inner_->WriteSome(data);
+  }
+  uint32_t Poll() const override { return inner_->Poll(); }
+  void SetWaker(std::function<void()> waker) override {
+    has_waker_.store(waker != nullptr);
+    inner_->SetWaker(std::move(waker));
+  }
+  void Close() override { inner_->Close(); }
+
+  bool has_waker() const { return has_waker_.load(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::atomic<bool> has_waker_{false};
+};
+
 TEST(ReactorTest, PostRunsOnLoopThread) {
   Reactor reactor;
   std::atomic<bool> ran{false};
@@ -185,6 +212,21 @@ TEST(ReactorTest, StopIsIdempotentAndDiscardsPendingTimers) {
     reactor.Stop();  // Second Stop must be a no-op, not a crash.
   }
   EXPECT_FALSE(fired.load());
+}
+
+TEST(ReactorTest, TransportClosingAfterReactorDiesIsSafe) {
+  auto [client_end, server_end] = CreateLoopbackPair();
+  WakerProbe probe(std::move(server_end));
+  RecordingHandler handler;
+  auto reactor = std::make_unique<Reactor>();
+  reactor->Register(&probe, &handler, kTransportReadable);
+  EXPECT_TRUE(probe.has_waker());
+  reactor.reset();  // Dies with the registration still in place.
+  EXPECT_FALSE(probe.has_waker());
+  // Closing fires the channel's wakers on both ends; neither may reach
+  // the freed reactor.
+  client_end->Close();
+  probe.Close();
 }
 
 TEST(ReactorTest, BackendNamesTheCompiledPath) {

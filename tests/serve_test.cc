@@ -18,7 +18,7 @@
 #include "blob/memory_store.h"
 #include "db/database.h"
 #include "interp/capture.h"
-#include "serve/client.h"
+#include "serve/connection.h"
 #include "serve/framing.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -72,13 +72,23 @@ std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
   return db;
 }
 
-// One v1 request/response exchange over a raw transport: the
-// single-stream compat path a pre-multiplexing client would use.
+// The stream id the raw-frame tests address every request to.
+constexpr uint64_t kRawStream = 1;
+
+// Sends `payload` in a frame envelope on kRawStream over a raw
+// transport, with no Connection (and no pump thread) in between.
+Status SendRaw(Transport& transport, ByteSpan payload) {
+  FrameHeader header;
+  header.stream_id = kRawStream;
+  return WriteFrame(transport, EncodeFrameBody(header, payload));
+}
+
+// One request/response exchange on kRawStream over a raw transport.
 Result<Response> RawRoundTrip(Transport& transport, const Request& request) {
-  TBM_RETURN_IF_ERROR(WriteFrame(transport, EncodeRequest(request)));
+  TBM_RETURN_IF_ERROR(SendRaw(transport, EncodeRequest(request)));
   TBM_ASSIGN_OR_RETURN(Bytes body, ReadFrame(transport, kMaxFrameBytes));
   TBM_ASSIGN_OR_RETURN(Frame frame, DecodeFrameBody(body));
-  EXPECT_EQ(frame.header.version, 1);  // v1 in, v1 out.
+  EXPECT_EQ(frame.header.stream_id, kRawStream);  // Answered on its stream.
   return DecodeResponse(frame.payload);
 }
 
@@ -426,19 +436,20 @@ TEST(MediaServerTest, StreamsWholeObjectAndFinishesDone) {
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
 
-  MediaClient client(std::move(client_end));
-  auto open = client.Open("clip");
-  ASSERT_TRUE(open.ok()) << open.status().message();
-  EXPECT_EQ(open->element_count, static_cast<uint64_t>(kElements));
-  EXPECT_EQ(open->payload_bytes,
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+  const OpenInfo& open = (*stream)->info();
+  EXPECT_EQ(open.element_count, static_cast<uint64_t>(kElements));
+  EXPECT_EQ(open.payload_bytes,
             static_cast<uint64_t>(kElements) * kElementBytes);
-  EXPECT_EQ(open->stride, 1u);
-  EXPECT_GT(open->booked_bytes_per_second, 0.0);
+  EXPECT_EQ(open.stride, 1u);
+  EXPECT_GT(open.booked_bytes_per_second, 0.0);
 
   std::vector<uint64_t> numbers;
   bool end_of_stream = false;
   while (!end_of_stream) {
-    auto batch = client.Read(8);
+    auto batch = (*stream)->Read(8);
     ASSERT_TRUE(batch.ok()) << batch.status().message();
     for (const WireElement& element : batch->elements) {
       EXPECT_EQ(element.payload,
@@ -452,12 +463,12 @@ TEST(MediaServerTest, StreamsWholeObjectAndFinishesDone) {
     EXPECT_EQ(numbers[static_cast<size_t>(i)], static_cast<uint64_t>(i));
   }
 
-  auto stats = client.Stats();
+  auto stats = (*stream)->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->state, SessionState::kDone);
   EXPECT_EQ(stats->elements_delivered, static_cast<uint64_t>(kElements));
   EXPECT_EQ(stats->elements_skipped, 0u);
-  EXPECT_TRUE(client.Close().ok());
+  EXPECT_TRUE((*stream)->Close().ok());
 
   server.Stop();
   ServerStatsSnapshot snapshot = server.stats();
@@ -471,27 +482,28 @@ TEST(MediaServerTest, SeekResumesFromTarget) {
   MediaServer server(db.get());
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient client(std::move(client_end));
-  ASSERT_TRUE(client.Open("clip").ok());
-  auto first = client.Read(4);
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
+  auto first = (*stream)->Read(4);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first->elements.size(), 4u);
 
-  auto position = client.Seek(30);
+  auto position = (*stream)->Seek(30);
   ASSERT_TRUE(position.ok());
   EXPECT_EQ(*position, 30u);
-  auto tail = client.Read(8);
+  auto tail = (*stream)->Read(8);
   ASSERT_TRUE(tail.ok());
   ASSERT_EQ(tail->elements.size(), 2u);
   EXPECT_EQ(tail->elements[0].element_number, 30u);
   EXPECT_EQ(tail->elements[1].element_number, 31u);
   EXPECT_TRUE(tail->end_of_stream);
-  EXPECT_TRUE(client.Close().ok());
+  EXPECT_TRUE((*stream)->Close().ok());
 }
 
 TEST(MediaServerTest, ErrorsAreWireStatusesNotDisconnects) {
-  // Driven entirely over raw v1 frames: this is the compat surface a
-  // pre-multiplexing client speaks, mapped to the implicit stream 0.
+  // Driven entirely over raw frames on one stream id, with no client
+  // library in between to paper over what the server sends back.
   auto db = BuildServeDb();
   MediaServer server(db.get());
   auto [client_end, server_end] = CreateLoopbackPair();
@@ -516,11 +528,12 @@ TEST(MediaServerTest, ErrorsAreWireStatusesNotDisconnects) {
   // A malformed payload inside a well-formed frame draws an error
   // response and leaves the connection usable.
   Bytes garbage = {0x01, 0xDE, 0xAD};
-  ASSERT_TRUE(WriteFrame(*client_end, garbage).ok());
+  ASSERT_TRUE(SendRaw(*client_end, garbage).ok());
   auto raw = ReadFrame(*client_end, kMaxFrameBytes);
   ASSERT_TRUE(raw.ok());
   auto frame = DecodeFrameBody(*raw);
   ASSERT_TRUE(frame.ok());
+  EXPECT_EQ(frame->header.stream_id, kRawStream);
   auto decoded = DecodeResponse(frame->payload);
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded->status.ok());
@@ -534,12 +547,11 @@ TEST(MediaServerTest, ErrorsAreWireStatusesNotDisconnects) {
   ASSERT_TRUE(opened->status.ok()) << opened->status.message();
   uint64_t session_id = opened->open.session_id;
 
-  // A second OPEN on the same (v1, single-stream) connection is
-  // refused with the PR 5 wording.
+  // A second OPEN on the same stream id is refused.
   auto second = RawRoundTrip(*client_end, open);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(second->status.message().find("already has a session"),
+  EXPECT_EQ(second->status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(second->status.message().find("duplicate stream id"),
             std::string::npos);
 
   // A request addressing a different session id is refused.
@@ -569,22 +581,25 @@ TEST(MediaServerTest, AdmissionDegradesBeforeDenying) {
   config.max_stride = 8;
   MediaServer server(db.get(), config);
 
-  std::vector<std::unique_ptr<MediaClient>> clients;
+  // Declared before `streams` so every StreamHandle dies before its
+  // Connection.
+  std::vector<std::unique_ptr<Connection>> connections;
+  std::vector<std::unique_ptr<StreamHandle>> streams;
   std::vector<uint32_t> strides;
   bool denied = false;
   for (int i = 0; i < 4; ++i) {
     auto [client_end, server_end] = CreateLoopbackPair();
     ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-    auto client = std::make_unique<MediaClient>(std::move(client_end));
-    auto open = client->Open("clip");
-    if (open.ok()) {
+    connections.push_back(Connect(std::move(client_end)));
+    auto stream = connections.back()->OpenStream("clip");
+    if (stream.ok()) {
       // Every admission so far must precede the first denial: degrade
       // comes before deny.
       EXPECT_FALSE(denied);
-      strides.push_back(open->stride);
-      clients.push_back(std::move(client));
+      strides.push_back((*stream)->info().stride);
+      streams.push_back(std::move(*stream));
     } else {
-      EXPECT_EQ(open.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(stream.status().code(), StatusCode::kResourceExhausted);
       denied = true;
     }
   }
@@ -597,14 +612,14 @@ TEST(MediaServerTest, AdmissionDegradesBeforeDenying) {
   EXPECT_EQ(snapshot.sessions_denied, 1u);
 
   // Capacity released by a CLOSE readmits at full fidelity.
-  ASSERT_TRUE(clients[0]->Close().ok());
+  ASSERT_TRUE(streams[0]->Close().ok());
   auto [client_end, server_end] = CreateLoopbackPair();
   ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
-  MediaClient fresh(std::move(client_end));
-  auto reopened = fresh.Open("clip");
+  auto fresh = Connect(std::move(client_end));
+  auto reopened = fresh->OpenStream("clip");
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
-  EXPECT_EQ(reopened->stride, 1u);
-  EXPECT_TRUE(fresh.Close().ok());
+  EXPECT_EQ((*reopened)->info().stride, 1u);
+  EXPECT_TRUE((*reopened)->Close().ok());
 }
 
 TEST(MediaServerTest, SlowClientIsEvicted) {
@@ -631,7 +646,7 @@ TEST(MediaServerTest, SlowClientIsEvicted) {
   request.type = RequestType::kRead;
   request.session_id = opened->open.session_id;
   request.max_elements = 16;
-  ASSERT_TRUE(WriteFrame(*client_end, EncodeRequest(request)).ok());
+  ASSERT_TRUE(SendRaw(*client_end, EncodeRequest(request)).ok());
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (server.stats().sessions_evicted == 0 &&
@@ -690,16 +705,16 @@ TEST(MediaServerConcurrencyTest, SixteenSessionsWithFaultsAllComplete) {
     auto [client_end, server_end] = CreateLoopbackPair();
     ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
     threads.emplace_back([&, i, endpoint = std::move(client_end)]() mutable {
-      MediaClient client(std::move(endpoint));
-      auto open = client.Open("clip");
-      if (!open.ok()) {
+      auto connection = Connect(std::move(endpoint));
+      auto stream = connection->OpenStream("clip");
+      if (!stream.ok()) {
         failures.fetch_add(1);
         return;
       }
       bool all_payloads_ok = true;
       bool end_of_stream = false;
       for (int rounds = 0; !end_of_stream && rounds < 256; ++rounds) {
-        auto batch = client.Read(8);
+        auto batch = (*stream)->Read(8);
         if (!batch.ok()) {
           failures.fetch_add(1);
           return;
@@ -712,14 +727,14 @@ TEST(MediaServerConcurrencyTest, SixteenSessionsWithFaultsAllComplete) {
         }
         end_of_stream = batch->end_of_stream;
       }
-      auto stats = client.Stats();
+      auto stats = (*stream)->Stats();
       if (!stats.ok()) {
         failures.fetch_add(1);
         return;
       }
       final_states[static_cast<size_t>(i)] = stats->state;
       payloads_ok[static_cast<size_t>(i)] = all_payloads_ok;
-      (void)client.Close();
+      (void)(*stream)->Close();
     });
   }
   for (std::thread& thread : threads) thread.join();

@@ -911,7 +911,7 @@ TEST(DatabaseStreamingTest, OpenWithInjectedFileStorePersists) {
     Interpretation interp =
         ContiguousInterp((*db)->blob_store(), 5, 100, &blob_id);
     ASSERT_TRUE((*db)->AddInterpretation("i", std::move(interp)).ok());
-    ASSERT_TRUE((*db)->Save().ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
   }
   // Reopen with the plain convenience factory: same catalog, same data.
   auto reopened = MediaDatabase::Open(dir);
