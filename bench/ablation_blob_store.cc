@@ -1,18 +1,28 @@
 // Substrate ablation: BLOB storage layout. The paper (Def. 4) treats
-// BLOB layout — contiguous vs fragmented — as a performance concern
-// hidden from the data model. This bench quantifies that concern:
-// append/read throughput across the three store implementations,
-// fragmentation effects from interleaved writers, checksum overhead,
-// and compact-index build cost.
+// BLOB layout as "a performance issue and not directly relevant to
+// data modeling". This bench shows both halves of that claim on the
+// three stores behind the one BlobStore interface — one in-memory
+// buffer per BLOB, one file per BLOB, and content-addressed shards:
+// the same bytes pushed through the same calls read back
+// byte-identically from every store, while push and read throughput
+// differ per layout. It also times compact-index build cost.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "blob/cas_store.h"
+#include "blob/chunk_reader.h"
 #include "blob/file_store.h"
 #include "blob/memory_store.h"
-#include "blob/paged_store.h"
 #include "interp/index.h"
 
 namespace tbm {
@@ -21,156 +31,212 @@ namespace {
 using bench::CheckOk;
 using bench::ValueOrDie;
 
-Bytes Payload(size_t n) {
+namespace fs = std::filesystem;
+
+enum class StoreKind { kMemory, kFile, kCas };
+
+const char* StoreName(StoreKind kind) {
+  switch (kind) {
+    case StoreKind::kMemory:
+      return "memory";
+    case StoreKind::kFile:
+      return "file";
+    case StoreKind::kCas:
+      return "cas";
+  }
+  return "?";
+}
+
+/// A fresh, empty store of `kind`; file-backed stores get their own
+/// directory under the process's scratch root.
+std::unique_ptr<BlobStore> MakeStore(StoreKind kind) {
+  static int counter = 0;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("tbm_bench_blobstore_" + std::to_string(::getpid())) /
+       std::to_string(counter++))
+          .string();
+  switch (kind) {
+    case StoreKind::kMemory:
+      return std::make_unique<MemoryBlobStore>();
+    case StoreKind::kFile:
+      return ValueOrDie(FileBlobStore::Open(dir), "open file store");
+    case StoreKind::kCas:
+      return ValueOrDie(CasBlobStore::Open(dir), "open cas store");
+  }
+  return nullptr;
+}
+
+void RemoveScratch() {
+  fs::remove_all(fs::temp_directory_path() /
+                 ("tbm_bench_blobstore_" + std::to_string(::getpid())));
+}
+
+Bytes Payload(size_t n, uint32_t seed = 1) {
   Bytes data(n);
-  for (size_t i = 0; i < n; ++i) data[i] = static_cast<uint8_t>(i * 31);
+  uint32_t x = seed * 2654435761u + 1;
+  for (size_t i = 0; i < n; ++i) {
+    x = x * 1664525u + 1013904223u;
+    data[i] = static_cast<uint8_t>(x >> 24);
+  }
   return data;
+}
+
+/// Pushes `data` in `span`-byte pieces, as capture does.
+BlobId PushInSpans(BlobStore* store, const Bytes& data, size_t span) {
+  auto push = ValueOrDie(store->StartPush(), "start push");
+  for (size_t off = 0; off < data.size(); off += span) {
+    size_t take = std::min(span, data.size() - off);
+    CheckOk(push->Push(ByteSpan(data.data() + off, take)), "push");
+  }
+  return ValueOrDie(push->Finish(), "finish");
+}
+
+/// Reads BLOB `id` chunk by chunk into `out` (cleared first), so every
+/// byte is touched whether the store copies or maps it.
+void ReadChunked(const BlobStore& store, BlobId id, uint32_t chunk_size,
+                 Bytes* out) {
+  ChunkReaderOptions options;
+  options.chunk_size = chunk_size;
+  auto reader = ValueOrDie(store.OpenChunkReader(id, options), "open reader");
+  out->clear();
+  for (uint64_t c = 0; c < reader->chunk_count(); ++c) {
+    BufferSlice chunk = ValueOrDie(reader->ReadChunk(c), "read chunk");
+    out->insert(out->end(), chunk.begin(), chunk.end());
+  }
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 void PrintAblation() {
   bench::Header(
       "Ablation: BLOB store layout (paper Def. 4: \"the layout of BLOBs\n"
       "is a performance issue and not directly relevant to data\n"
-      "modeling\") — same interface, different physics");
+      "modeling\") — same interface, same bytes, different physics");
 
-  // Fragmentation demonstration: two pushes interleaving writes on a
-  // paged store.
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  auto push_a = ValueOrDie(store.StartPush(), "a");
-  auto push_b = ValueOrDie(store.StartPush(), "b");
-  Bytes chunk = Payload(6000);
-  for (int i = 0; i < 100; ++i) {
-    CheckOk(push_a->Push(chunk), "push a");
-    CheckOk(push_b->Push(chunk), "push b");
+  // Distinct contents per BLOB, so the CAS store never dedups.
+  constexpr int kBlobs = 4;
+  constexpr size_t kBlobBytes = 8 << 20;
+  constexpr size_t kSpan = 64 << 10;
+  constexpr uint32_t kChunk = 256 << 10;
+  std::vector<Bytes> contents;
+  for (int i = 0; i < kBlobs; ++i) {
+    contents.push_back(Payload(kBlobBytes, static_cast<uint32_t>(i + 1)));
   }
-  BlobId a = ValueOrDie(push_a->Finish(), "finish a");
-  ValueOrDie(push_b->Finish(), "finish b");
-  std::printf("Interleaved writers on 4 KiB pages:\n");
-  std::printf("  blob A fragmentation: %.2f (0 = contiguous pages)\n",
-              ValueOrDie(store.Fragmentation(a), "frag"));
-  BlobStoreStats stats = store.Stats();
-  std::printf("  logical %s, physical %s (page overhead %.1f%%)\n",
-              HumanBytes(stats.logical_bytes).c_str(),
-              HumanBytes(stats.physical_bytes).c_str(),
-              100.0 * (stats.physical_bytes - stats.logical_bytes) /
-                  stats.logical_bytes);
+  const double mib = static_cast<double>(kBlobBytes) / (1024.0 * 1024.0);
 
-  PagedBlobStore solo(std::make_unique<MemoryPageDevice>(4096));
-  auto push_c = ValueOrDie(solo.StartPush(), "c");
-  for (int i = 0; i < 100; ++i) CheckOk(push_c->Push(chunk), "push c");
-  BlobId c = ValueOrDie(push_c->Finish(), "finish c");
-  std::printf("  single writer fragmentation: %.2f\n",
-              ValueOrDie(solo.Fragmentation(c), "frag"));
+  std::printf("%d BLOBs of %s each, pushed in %s spans, read back in\n"
+              "%s chunks (median over BLOBs):\n",
+              kBlobs, HumanBytes(kBlobBytes).c_str(),
+              HumanBytes(kSpan).c_str(), HumanBytes(kChunk).c_str());
+  std::printf("  %-7s %12s %12s  %s\n", "store", "push MiB/s", "read MiB/s",
+              "read back");
+  Bytes read_back;
+  for (StoreKind kind : {StoreKind::kMemory, StoreKind::kFile,
+                         StoreKind::kCas}) {
+    std::unique_ptr<BlobStore> store = MakeStore(kind);
+    std::vector<double> push_mibps, read_mibps;
+    bool identical = true;
+    for (const Bytes& data : contents) {
+      auto start = std::chrono::steady_clock::now();
+      BlobId id = PushInSpans(store.get(), data, kSpan);
+      push_mibps.push_back(mib / SecondsSince(start));
+
+      start = std::chrono::steady_clock::now();
+      ReadChunked(*store, id, kChunk, &read_back);
+      read_mibps.push_back(mib / SecondsSince(start));
+      identical = identical && read_back == data;
+    }
+    std::printf("  %-7s %12.0f %12.0f  %s\n", StoreName(kind),
+                Median(push_mibps), Median(read_mibps),
+                identical ? "byte-identical" : "MISMATCH");
+    if (!identical) {
+      std::fprintf(stderr, "FATAL: %s store returned different bytes\n",
+                   StoreName(kind));
+      std::abort();
+    }
+  }
+  RemoveScratch();
 }
 
 // --- Push throughput --------------------------------------------------------
 
-template <typename MakeStore>
-void AppendBench(benchmark::State& state, MakeStore make_store) {
-  const size_t chunk_size = static_cast<size_t>(state.range(0));
-  Bytes chunk = Payload(chunk_size);
+void BM_Append(benchmark::State& state, StoreKind kind) {
+  const size_t span = static_cast<size_t>(state.range(0));
+  Bytes data = Payload(64 * span);
   for (auto _ : state) {
-    auto store = make_store();
-    auto push = ValueOrDie(store->StartPush(), "start push");
-    for (int i = 0; i < 64; ++i) {
-      CheckOk(push->Push(chunk), "push");
-    }
-    BlobId id = ValueOrDie(push->Finish(), "finish");
+    std::unique_ptr<BlobStore> store = MakeStore(kind);
+    BlobId id = PushInSpans(store.get(), data, span);
     benchmark::DoNotOptimize(store->Size(id));
+    state.PauseTiming();  // Keep the scratch disk use to one store.
+    store.reset();
+    RemoveScratch();
+    state.ResumeTiming();
   }
-  state.SetBytesProcessed(state.iterations() * 64 * chunk_size);
+  state.SetBytesProcessed(state.iterations() * data.size());
 }
+BENCHMARK_CAPTURE(BM_Append, memory, StoreKind::kMemory)
+    ->Arg(4096)
+    ->Arg(65536);
+BENCHMARK_CAPTURE(BM_Append, file, StoreKind::kFile)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Append, cas, StoreKind::kCas)->Arg(65536);
 
-void BM_Append_Memory(benchmark::State& state) {
-  AppendBench(state, [] { return std::make_unique<MemoryBlobStore>(); });
-}
-BENCHMARK(BM_Append_Memory)->Arg(4096)->Arg(65536);
+// --- Chunked sequential reads (the playback path) ---------------------------
 
-void BM_Append_Paged(benchmark::State& state) {
-  AppendBench(state, [] {
-    return std::make_unique<PagedBlobStore>(
-        std::make_unique<MemoryPageDevice>(4096));
-  });
-}
-BENCHMARK(BM_Append_Paged)->Arg(4096)->Arg(65536);
-
-void BM_Append_File(benchmark::State& state) {
-  std::string dir = std::filesystem::temp_directory_path() /
-                    "tbm_bench_filestore";
-  std::filesystem::remove_all(dir);
-  int counter = 0;
-  AppendBench(state, [&] {
-    std::string sub = dir + "/" + std::to_string(counter++);
-    return ValueOrDie(FileBlobStore::Open(sub), "open");
-  });
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_Append_File)->Arg(65536);
-
-// --- Read throughput: contiguous vs fragmented -----------------------------
-
-void BM_Read_Contiguous(benchmark::State& state) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  BlobId id = ValueOrDie(store.PushAll(Payload(1 << 20)), "push");
+void BM_ReadChunked(benchmark::State& state, StoreKind kind) {
+  constexpr size_t kBytes = 1 << 20;
+  std::unique_ptr<BlobStore> store = MakeStore(kind);
+  BlobId id = ValueOrDie(store->PushAll(Payload(kBytes)), "push");
+  Bytes out;
   for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{0, 1 << 20});
-    CheckOk(data.status(), "read");
-    benchmark::DoNotOptimize(data->data());
+    ReadChunked(*store, id, 64 << 10, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(state.iterations() * (1 << 20));
+  state.SetBytesProcessed(state.iterations() * kBytes);
 }
-BENCHMARK(BM_Read_Contiguous);
-
-void BM_Read_Fragmented(benchmark::State& state) {
-  // Same logical content, but pages interleaved with a second blob.
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  auto push = ValueOrDie(store.StartPush(), "push");
-  auto push_other = ValueOrDie(store.StartPush(), "push other");
-  Bytes piece = Payload(4088);  // One page payload.
-  for (int i = 0; i < 257; ++i) {
-    CheckOk(push->Push(piece), "push");
-    CheckOk(push_other->Push(piece), "push other");
-  }
-  BlobId id = ValueOrDie(push->Finish(), "finish");
-  ValueOrDie(push_other->Finish(), "finish other");
-  const uint64_t span = 1 << 20;
-  for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{0, span});
-    CheckOk(data.status(), "read");
-    benchmark::DoNotOptimize(data->data());
-  }
-  state.SetBytesProcessed(state.iterations() * span);
-}
-BENCHMARK(BM_Read_Fragmented);
-
-void BM_Read_MemoryBaseline(benchmark::State& state) {
-  MemoryBlobStore store;
-  BlobId id = ValueOrDie(store.PushAll(Payload(1 << 20)), "push");
-  for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{0, 1 << 20});
-    CheckOk(data.status(), "read");
-    benchmark::DoNotOptimize(data->data());
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 20));
-}
-BENCHMARK(BM_Read_MemoryBaseline);
+BENCHMARK_CAPTURE(BM_ReadChunked, memory, StoreKind::kMemory);
+BENCHMARK_CAPTURE(BM_ReadChunked, file, StoreKind::kFile);
+BENCHMARK_CAPTURE(BM_ReadChunked, cas, StoreKind::kCas);
 
 // --- Random element-sized reads (media access pattern) ----------------------
 
-void BM_RandomElementReads(benchmark::State& state) {
-  PagedBlobStore store(std::make_unique<MemoryPageDevice>(4096));
-  BlobId id = ValueOrDie(store.PushAll(Payload(4 << 20)), "push");
+void BM_RandomElementReads(benchmark::State& state, StoreKind kind) {
+  constexpr uint64_t kBytes = 4 << 20;
+  std::unique_ptr<BlobStore> store = MakeStore(kind);
+  BlobId id = ValueOrDie(store->PushAll(Payload(kBytes)), "push");
   uint64_t offset = 0;
   const uint64_t element = static_cast<uint64_t>(state.range(0));
+  Bytes out(element);
   for (auto _ : state) {
-    auto data = store.Read(id, ByteRange{offset, element});
+    auto data = store->Read(id, ByteRange{offset, element});
     CheckOk(data.status(), "read");
-    benchmark::DoNotOptimize(data->data());
-    offset = (offset + 777 * element) % ((4 << 20) - element);
+    // Copy out so zero-copy views and copying stores do the same work.
+    std::memcpy(out.data(), data->data(), element);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    offset = (offset + 777 * element) % (kBytes - element);
   }
   state.SetBytesProcessed(state.iterations() * element);
 }
-BENCHMARK(BM_RandomElementReads)->Arg(1764 * 4)->Arg(20000);
+BENCHMARK_CAPTURE(BM_RandomElementReads, memory, StoreKind::kMemory)
+    ->Arg(1764 * 4)
+    ->Arg(20000);
+BENCHMARK_CAPTURE(BM_RandomElementReads, file, StoreKind::kFile)
+    ->Arg(1764 * 4)
+    ->Arg(20000);
+BENCHMARK_CAPTURE(BM_RandomElementReads, cas, StoreKind::kCas)
+    ->Arg(1764 * 4)
+    ->Arg(20000);
 
 // --- Index construction -----------------------------------------------------
 
@@ -201,6 +267,7 @@ int main(int argc, char** argv) {
   tbm::PrintAblation();
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
+  tbm::RemoveScratch();
   if (stats) tbm::bench::PrintRegistrySnapshot();
   return 0;
 }

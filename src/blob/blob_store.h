@@ -70,9 +70,9 @@ class PushHandle {
 /// Per the paper, insertion/deletion of byte spans is deliberately not
 /// offered: time-based media is edited non-destructively through
 /// derivation objects (Def. 6), never by rewriting BLOB bytes. The
-/// physical layout of a BLOB (contiguous, fragmented, or
-/// content-addressed) is a performance concern hidden behind this
-/// interface; see MemoryBlobStore, PagedBlobStore, FileBlobStore and
+/// physical layout of a BLOB (one in-memory buffer, one file, or
+/// content-addressed shards) is a performance concern hidden behind
+/// this interface; see MemoryBlobStore, FileBlobStore and
 /// CasBlobStore. Stores compose as decorators over this interface —
 /// FaultInjectingStore wraps any BlobStore, and MediaDatabase accepts
 /// an injected store — so new backends slot in without touching
@@ -107,12 +107,10 @@ class BlobStore {
   /// inside the BLOB; returns OutOfRange otherwise.
   ///
   /// The result is a zero-copy view where the store can serve one
-  /// (MemoryBlobStore aliases its backing buffer; PagedBlobStore
-  /// aliases a cached page for single-page ranges; CasBlobStore
-  /// aliases its memory-mapped shard file) and an owned buffer
-  /// otherwise. Either way the slice keeps its bytes alive on its own —
-  /// it remains valid after the BLOB is deleted, the store destroyed,
-  /// or a cache entry evicted.
+  /// (MemoryBlobStore aliases its backing buffer; CasBlobStore aliases
+  /// its memory-mapped shard file) and an owned buffer otherwise.
+  /// Either way the slice keeps its bytes alive on its own — it
+  /// remains valid after the BLOB is deleted or the store destroyed.
   virtual Result<BufferSlice> Read(BlobId id, ByteRange range) const = 0;
 
   /// Current size of BLOB `id` in bytes.
@@ -139,20 +137,12 @@ class BlobStore {
   Result<BufferSlice> ReadAll(BlobId id) const;
 
   /// Opens a streaming view of BLOB `id` serving fixed-size chunks on
-  /// demand (see blob/chunk_reader.h). The base implementation serves
-  /// chunks as policy-governed range reads and works for every store;
-  /// layout-aware stores override it to align chunk geometry with
-  /// their physical pages. The reader borrows the store: keep the
-  /// store alive and unmutated while reading.
-  virtual Result<std::unique_ptr<ChunkReader>> OpenChunkReader(
+  /// demand (see blob/chunk_reader.h). Each chunk is a policy-governed
+  /// `Read` of this store, so decorators such as FaultInjectingStore
+  /// see every chunk read. The reader borrows the store: keep the store
+  /// alive and unmutated while reading.
+  Result<std::unique_ptr<ChunkReader>> OpenChunkReader(
       BlobId id, const ChunkReaderOptions& options) const;
-};
-
-/// Occupancy statistics for benchmarking and storage accounting.
-struct BlobStoreStats {
-  uint64_t blob_count = 0;
-  uint64_t logical_bytes = 0;   ///< Sum of BLOB sizes.
-  uint64_t physical_bytes = 0;  ///< Bytes actually occupied (pages, headers).
 };
 
 }  // namespace tbm

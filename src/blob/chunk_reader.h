@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 
 #include "base/buffer.h"
 #include "base/bytes.h"
@@ -14,10 +13,7 @@ namespace tbm {
 
 /// How a chunked read of a BLOB behaves.
 struct ChunkReaderOptions {
-  /// Bytes served per chunk (the last chunk may be shorter). Stores may
-  /// round this up to align with their physical layout — PagedBlobStore
-  /// aligns chunks to whole page payloads so adjacent chunks never
-  /// re-read (and re-checksum) a shared boundary page.
+  /// Bytes served per chunk (the last chunk may be shorter).
   uint32_t chunk_size = 256 * 1024;
 
   /// Retry/backoff/timeout applied to every chunk read.
@@ -32,6 +28,8 @@ struct ChunkReaderOptions {
 /// the delivery-path primitive that fixes this: `ReadChunk(i)` serves
 /// chunk `i` on demand, so consumers (AsyncPrefetcher, ElementStream,
 /// the streaming codec bridge) pull data as the presentation needs it.
+/// Each chunk is one policy-governed range read against the BlobStore
+/// interface, so a reader works over every store and decorator alike.
 ///
 /// Obtain one with `BlobStore::OpenChunkReader`. The reader snapshots
 /// the BLOB size at open; bytes appended afterwards are not visible.
@@ -40,14 +38,11 @@ struct ChunkReaderOptions {
 /// prefetcher relies on to overlap chunk fetches.
 class ChunkReader {
  public:
-  virtual ~ChunkReader() = default;
-
-  /// Chunk payload size in bytes (the effective, possibly store-aligned
-  /// value — not necessarily what the options requested).
-  virtual uint32_t chunk_size() const = 0;
+  /// Chunk payload size in bytes, as requested at open.
+  uint32_t chunk_size() const { return options_.chunk_size; }
 
   /// BLOB size snapshot taken at open, bytes.
-  virtual uint64_t blob_size() const = 0;
+  uint64_t blob_size() const { return size_; }
 
   /// Number of chunks ( = ceil(blob_size / chunk_size); 0 for an empty
   /// BLOB).
@@ -71,21 +66,23 @@ class ChunkReader {
   /// Reads chunk `index` under the reader's ReadPolicy. OutOfRange for
   /// `index >= chunk_count()`. Zero-copy where the store supports it
   /// (see BlobStore::Read); the slice owns its bytes either way.
-  virtual Result<BufferSlice> ReadChunk(uint64_t index) const = 0;
+  Result<BufferSlice> ReadChunk(uint64_t index) const;
 
   /// The policy chunk reads run under.
-  virtual const ReadPolicy& policy() const = 0;
+  const ReadPolicy& policy() const { return options_.policy; }
+
+ private:
+  friend class BlobStore;
+
+  ChunkReader(const BlobStore* store, BlobId id, uint64_t size,
+              const ChunkReaderOptions& options)
+      : store_(store), id_(id), size_(size), options_(options) {}
+
+  const BlobStore* store_;
+  BlobId id_;
+  uint64_t size_;
+  ChunkReaderOptions options_;
 };
-
-class BlobStore;
-using BlobId = uint64_t;
-
-/// The default ChunkReader every store can serve: each chunk is one
-/// policy-governed range read against the BlobStore interface. Stores
-/// with richer layouts override `BlobStore::OpenChunkReader` to adjust
-/// the geometry (see PagedBlobStore) but reuse this reader.
-Result<std::unique_ptr<ChunkReader>> MakeRangeChunkReader(
-    const BlobStore& store, BlobId id, const ChunkReaderOptions& options);
 
 }  // namespace tbm
 

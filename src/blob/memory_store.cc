@@ -115,14 +115,4 @@ std::vector<BlobId> MemoryBlobStore::List() const {
   return ids;
 }
 
-BlobStoreStats MemoryBlobStore::Stats() const {
-  BlobStoreStats stats;
-  stats.blob_count = blobs_.size();
-  for (const auto& [id, blob] : blobs_) {
-    stats.logical_bytes += blob.size;
-    stats.physical_bytes += blob.buffer ? blob.buffer->size() : 0;
-  }
-  return stats;
-}
-
 }  // namespace tbm

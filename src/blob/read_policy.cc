@@ -32,19 +32,13 @@ double ElapsedUs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
-}  // namespace
-
-bool IsTransientReadError(const Status& status, const ReadPolicy& policy) {
-  switch (status.code()) {
-    case StatusCode::kIOError:
-    case StatusCode::kResourceExhausted:
-      return true;
-    case StatusCode::kCorruption:
-      return policy.retry_corruption;
-    default:
-      return false;
-  }
+/// True iff `status` is an error a retry may clear.
+bool IsTransientReadError(const Status& status) {
+  return status.code() == StatusCode::kIOError ||
+         status.code() == StatusCode::kResourceExhausted;
 }
+
+}  // namespace
 
 Result<BufferSlice> ReadWithPolicy(const BlobStore& store, BlobId id,
                                    ByteRange range, const ReadPolicy& policy) {
@@ -53,7 +47,7 @@ Result<BufferSlice> ReadWithPolicy(const BlobStore& store, BlobId id,
   int attempt = 0;
   while (true) {
     Result<BufferSlice> result = store.Read(id, range);
-    if (result.ok() || !IsTransientReadError(result.status(), policy)) {
+    if (result.ok() || !IsTransientReadError(result.status())) {
       return result;
     }
     if (attempt >= policy.max_retries) {

@@ -16,16 +16,16 @@ using BlobId = uint64_t;
 /// Robustness policy for a single logical read against a BlobStore.
 ///
 /// Playback consumes timed streams at a constant rate; a transient
-/// store failure (a dropped page read, a saturated device, an injected
+/// store failure (a failed device read, a saturated device, an injected
 /// fault) should cost a retry, not abort the whole presentation. A
 /// ReadPolicy bounds that tolerance: up to `max_retries` re-attempts
 /// with exponential backoff, all within a total `timeout_us` budget.
 ///
-/// Retries apply only to *transient* errors (IOError and
-/// ResourceExhausted by default; Corruption too when
-/// `retry_corruption` is set, for media where a re-read can succeed).
-/// Definite errors — NotFound, OutOfRange, InvalidArgument — are
-/// returned immediately: retrying cannot make a missing BLOB appear.
+/// Retries apply only to *transient* errors: IOError and
+/// ResourceExhausted. Definite errors — NotFound, OutOfRange,
+/// InvalidArgument, Corruption — are returned immediately: retrying
+/// cannot make a missing BLOB appear, and a re-read of a corrupt
+/// stored BLOB returns the same bytes.
 struct ReadPolicy {
   /// Re-attempts after the first failed read. 0 = fail fast.
   int max_retries = 0;
@@ -44,14 +44,7 @@ struct ReadPolicy {
   /// between attempts; a synchronous store read in progress is never
   /// interrupted, so the bound is approximate by one attempt.
   double timeout_us = 0.0;
-
-  /// Also treat Corruption as transient (e.g. scratched optical media
-  /// where a re-read may pass the checksum).
-  bool retry_corruption = false;
 };
-
-/// True iff `status` is an error this policy considers transient.
-bool IsTransientReadError(const Status& status, const ReadPolicy& policy);
 
 /// Reads `range` of BLOB `id` from `store` under `policy`: transient
 /// failures are retried with exponential backoff until they succeed,

@@ -119,7 +119,7 @@ class MediaDatabase {
 
   /// Opens a database over an injected BLOB store — the store is the
   /// composition point: wrap a FileBlobStore in a FaultInjectingStore
-  /// for robustness testing, or substitute a PagedBlobStore, without
+  /// for robustness testing, or substitute a CasBlobStore, without
   /// the database knowing. The catalog still persists in `dir`.
   static Result<std::unique_ptr<MediaDatabase>> Open(
       const std::string& dir, std::unique_ptr<BlobStore> store);

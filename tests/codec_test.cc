@@ -45,8 +45,8 @@ TEST(ImageTest, PsnrBehaviour) {
   Image a = videogen::Still(32, 32, 1);
   EXPECT_EQ(*Psnr(a, a), 99.0);  // Identical.
   Image b = a;
-  Bytes tweaked = b.data.MutableCopy();
-  tweaked[0] = static_cast<uint8_t>(tweaked[0] ^ 0x80);
+  BufferRef tweaked = Buffer::CopyOf(a.data.span());
+  tweaked->mutable_data()[0] ^= 0x80;
   b.data = std::move(tweaked);
   double psnr = *Psnr(a, b);
   EXPECT_LT(psnr, 99.0);

@@ -17,6 +17,12 @@ struct RelationCase {
   IntervalRelation expected;
 };
 
+// Names the test case after the relation, e.g. ".../met-by"; the
+// default printer would dump the struct's bytes, padding included.
+void PrintTo(const RelationCase& c, std::ostream* os) {
+  *os << IntervalRelationToString(c.expected);
+}
+
 class RelationTest : public ::testing::TestWithParam<RelationCase> {};
 
 TEST_P(RelationTest, Classifies) {
