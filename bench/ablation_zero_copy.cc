@@ -118,7 +118,7 @@ int Run(int argc, char** argv) {
 
   // Deduplicated cache accounting: caching the 4x-expanded view next
   // to its source charges (nearly) nothing beyond the source.
-  ExpansionCache cache(1ull << 30, 1);
+  ExpansionCache cache(1ull << 30);
   cache.Insert(1, std::make_shared<const MediaValue>(source), source_bytes,
                0.01);
   uint64_t charge_before = cache.stats().bytes_cached;

@@ -27,10 +27,6 @@ BufferRef Buffer::FromBytes(Bytes bytes) {
   return BufferRef(new Buffer(data, data, size, std::move(owner)));
 }
 
-BufferRef Buffer::Allocate(size_t size) {
-  return FromBytes(Bytes(size, 0));
-}
-
 BufferRef Buffer::CopyOf(ByteSpan span) {
   return FromBytes(Bytes(span.begin(), span.end()));
 }

@@ -32,19 +32,13 @@ using BufferRef = std::shared_ptr<const Buffer>;
 ///
 /// Write-once contract: a producer may fill bytes through
 /// `mutable_data()` *before* handing out any slice over them. Bytes
-/// below any published slice's extent must never be rewritten —
-/// MemoryBlobStore relies on this to append into spare capacity of a
-/// buffer whose earlier bytes are already aliased by outstanding
-/// reads. Consumers only ever see const bytes.
+/// below any published slice's extent must never be rewritten.
+/// Consumers only ever see const bytes.
 class Buffer {
  public:
   /// Takes ownership of `bytes` (no copy — the vector is moved into
   /// the buffer and its heap block becomes the payload).
   static BufferRef FromBytes(Bytes bytes);
-
-  /// Allocates `size` zero-initialized bytes the caller may fill
-  /// through mutable_data() before publishing slices.
-  static BufferRef Allocate(size_t size);
 
   /// Allocates a new buffer holding a copy of `span`.
   static BufferRef CopyOf(ByteSpan span);

@@ -1,8 +1,5 @@
 #include "blob/memory_store.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "base/macros.h"
 #include "blob/store_metrics.h"
 
@@ -14,9 +11,9 @@ Status NoSuchBlob(BlobId id) {
 }
 }  // namespace
 
-/// Push handle of MemoryBlobStore: accumulates into a growing buffer
-/// (same doubling policy as Append) and publishes at Finish. The store
-/// is only touched at publish time, so a dropped handle costs nothing.
+/// Push handle of MemoryBlobStore: accumulates into a private byte
+/// vector and publishes it as the BLOB's buffer at Finish. The store is
+/// only touched at publish time, so a dropped handle costs nothing.
 class MemoryPushHandle final : public PushHandle {
  public:
   explicit MemoryPushHandle(MemoryBlobStore* store) : store_(store) {}
@@ -30,18 +27,7 @@ class MemoryPushHandle final : public PushHandle {
     const auto& metrics = blob_internal::StoreMetrics::Get();
     metrics.appends->Add();
     metrics.bytes_written->Add(data.size());
-    const uint64_t capacity = buffer_ ? buffer_->size() : 0;
-    if (size_ + data.size() > capacity) {
-      uint64_t grown = std::max<uint64_t>(capacity * 2, 64);
-      grown = std::max<uint64_t>(grown, size_ + data.size());
-      BufferRef fresh = Buffer::Allocate(grown);
-      if (size_ > 0) {
-        std::memcpy(fresh->mutable_data(), buffer_->data(), size_);
-      }
-      buffer_ = std::move(fresh);
-    }
-    std::memcpy(buffer_->mutable_data() + size_, data.data(), data.size());
-    size_ += data.size();
+    bytes_.insert(bytes_.end(), data.begin(), data.end());
     return Status::OK();
   }
 
@@ -49,32 +35,31 @@ class MemoryPushHandle final : public PushHandle {
     if (store_ == nullptr) {
       return Status::FailedPrecondition("push already finished or aborted");
     }
-    BlobId id = store_->Publish(std::move(buffer_), size_);
+    BlobId id = store_->Publish(Buffer::FromBytes(std::move(bytes_)));
     store_ = nullptr;
     return id;
   }
 
   Status Abort() override {
     store_ = nullptr;
-    buffer_ = nullptr;
+    bytes_ = Bytes();
     return Status::OK();
   }
 
-  uint64_t bytes_pushed() const override { return size_; }
+  uint64_t bytes_pushed() const override { return bytes_.size(); }
 
  private:
   MemoryBlobStore* store_;  ///< Null once finished or aborted.
-  BufferRef buffer_;
-  uint64_t size_ = 0;
+  Bytes bytes_;
 };
 
 Result<std::unique_ptr<PushHandle>> MemoryBlobStore::StartPush() {
   return std::unique_ptr<PushHandle>(std::make_unique<MemoryPushHandle>(this));
 }
 
-BlobId MemoryBlobStore::Publish(BufferRef buffer, uint64_t size) {
+BlobId MemoryBlobStore::Publish(BufferRef buffer) {
   BlobId id = next_id_++;
-  blobs_.emplace(id, Blob{std::move(buffer), size});
+  blobs_.emplace(id, std::move(buffer));
   return id;
 }
 
@@ -84,21 +69,21 @@ Result<BufferSlice> MemoryBlobStore::Read(BlobId id, ByteRange range) const {
   metrics.bytes_read->Add(range.length);
   auto it = blobs_.find(id);
   if (it == blobs_.end()) return NoSuchBlob(id);
-  const Blob& blob = it->second;
+  const BufferRef& blob = it->second;
   TBM_RETURN_IF_ERROR(range.Validate());
-  if (range.end() > blob.size) {
+  if (range.end() > blob->size()) {
     return Status::OutOfRange(
         "read past end of BLOB " + std::to_string(id) + ": [" +
         std::to_string(range.offset) + ", " + std::to_string(range.end()) +
-        ") of " + std::to_string(blob.size));
+        ") of " + std::to_string(blob->size()));
   }
-  return BufferSlice(blob.buffer, range.offset, range.length);
+  return BufferSlice(blob, range.offset, range.length);
 }
 
 Result<uint64_t> MemoryBlobStore::Size(BlobId id) const {
   auto it = blobs_.find(id);
   if (it == blobs_.end()) return NoSuchBlob(id);
-  return it->second.size;
+  return it->second->size();
 }
 
 Status MemoryBlobStore::Delete(BlobId id) {

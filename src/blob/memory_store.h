@@ -9,17 +9,14 @@ namespace tbm {
 
 /// BLOB store keeping each BLOB as one contiguous in-memory buffer.
 ///
-/// This is the "contiguous layout" end of the layout spectrum: appends
-/// may reallocate and copy, reads are zero-copy. Used as the baseline
-/// in the storage-layout ablation bench and as the default store in
-/// tests and examples.
+/// This is the "contiguous layout" end of the layout spectrum: a push
+/// accumulates into one growing vector, reads are zero-copy. Used as
+/// the baseline in the storage-layout ablation bench and as the default
+/// store in tests and examples.
 ///
-/// Each BLOB is a ref-counted append buffer: `size` bytes published,
-/// the rest spare capacity. Reads return slices of the buffer —
-/// published bytes are never rewritten (appends fill spare capacity;
-/// growth allocates a fresh buffer and copies), so outstanding slices
-/// stay valid across later appends, deletes, and even destruction of
-/// the store, under the store's documented single-writer contract.
+/// Each BLOB is one ref-counted, never rewritten buffer. Reads return
+/// slices of it, so outstanding slices stay valid across deletes and
+/// even destruction of the store.
 class MemoryBlobStore : public BlobStore {
  public:
   MemoryBlobStore() = default;
@@ -38,17 +35,10 @@ class MemoryBlobStore : public BlobStore {
  private:
   friend class MemoryPushHandle;
 
-  /// One BLOB: `size` published bytes at the front of `buffer` (whose
-  /// extent is the capacity). `buffer` is null while the BLOB is empty.
-  struct Blob {
-    BufferRef buffer;
-    uint64_t size = 0;
-  };
-
   /// Registers a fully pushed buffer as a new BLOB and returns its id.
-  BlobId Publish(BufferRef buffer, uint64_t size);
+  BlobId Publish(BufferRef buffer);
 
-  std::map<BlobId, Blob> blobs_;
+  std::map<BlobId, BufferRef> blobs_;
   BlobId next_id_ = 1;
 };
 

@@ -278,6 +278,13 @@ class MediaDatabase {
   /// expanding derivations as needed (memoized per call graph). The
   /// expansion runs through a DerivationEngine configured by
   /// `eval_options()`; counters land in `last_eval_stats()`.
+  ///
+  /// Each call builds a fresh graph and engine, and within one
+  /// evaluation a shared input resolves once through the plan, so the
+  /// engine's expansion cache never hits here (nor in `tbmctl eval`,
+  /// which is one Materialize). The cache serves repeated Evaluate
+  /// calls on one engine: the built-in engine of a DerivationGraph,
+  /// such as a ComposedView's, and engines a caller holds.
   Result<MediaValue> Materialize(ObjectId id) const;
 
   /// Evaluation knobs (threads, cache budget) used by Materialize and

@@ -1,7 +1,7 @@
 #include "derive/cache.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <iterator>
 
 #include "obs/metrics.h"
 
@@ -39,68 +39,29 @@ struct CacheMetrics {
 
 }  // namespace
 
-std::string CacheStats::ToString() const {
-  char buf[384];
-  std::snprintf(buf, sizeof(buf),
-                "hits %llu, misses %llu, evictions %llu, insertions %llu, "
-                "oversize %llu, invalidations %llu, cached %llu/%llu bytes "
-                "in %llu entries (logical %llu, resident %llu)",
-                (unsigned long long)hits, (unsigned long long)misses,
-                (unsigned long long)evictions, (unsigned long long)insertions,
-                (unsigned long long)oversize_rejects,
-                (unsigned long long)invalidations,
-                (unsigned long long)bytes_cached,
-                (unsigned long long)budget_bytes, (unsigned long long)entries,
-                (unsigned long long)logical_bytes,
-                (unsigned long long)resident_bytes);
-  return buf;
-}
-
-ExpansionCache::ExpansionCache(uint64_t budget_bytes, int shards)
-    : budget_(budget_bytes),
-      shard_count_(std::max(shards, 1)),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {
-  uint64_t slice = budget_ / shard_count_;
-  uint64_t remainder = budget_ % shard_count_;
-  for (int i = 0; i < shard_count_; ++i) {
-    shards_[i].budget = slice + (static_cast<uint64_t>(i) < remainder ? 1 : 0);
-  }
-}
+ExpansionCache::ExpansionCache(uint64_t budget_bytes) : budget_(budget_bytes) {}
 
 ExpansionCache::~ExpansionCache() {
   // Release this cache's share of the global occupancy gauges
   // (engines — and their caches — are routinely short-lived, e.g. one
   // per MediaDatabase::Materialize call).
-  for (int i = 0; i < shard_count_; ++i) {
-    CacheMetrics::Get().bytes->Add(-static_cast<int64_t>(shards_[i].bytes));
-  }
-  std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
+  CacheMetrics::Get().bytes->Add(-static_cast<int64_t>(bytes_));
   CacheMetrics::Get().logical->Add(-static_cast<int64_t>(logical_total_));
   CacheMetrics::Get().resident->Add(
       -static_cast<int64_t>(ledger_resident_ + private_total_));
 }
 
-ExpansionCache::Shard& ExpansionCache::ShardFor(NodeId id) {
-  // Node ids are dense and sequential, so modulo spreads a DAG's nodes
-  // evenly; mix in a shift so chains of adjacent ids don't all land in
-  // lockstep order.
-  uint64_t h = static_cast<uint64_t>(id);
-  h ^= h >> 4;
-  return shards_[h % static_cast<uint64_t>(shard_count_)];
-}
-
 ValueRef ExpansionCache::Lookup(NodeId id) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(id);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(id);
+  if (it == index_.end()) {
+    ++misses_;
     CacheMetrics::Get().misses->Add();
     return nullptr;
   }
-  ++shard.hits;
+  ++hits_;
   CacheMetrics::Get().hits->Add();
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->value;
 }
 
@@ -112,30 +73,22 @@ uint64_t ExpansionCache::ChargeOfLocked(const Entry& entry) const {
   return charge;
 }
 
-void ExpansionCache::PinBuffersLocked(const Entry& entry) {
-  for (const auto& [buffer_id, size] : entry.buffers) {
-    auto [it, inserted] = ledger_.try_emplace(buffer_id, BufferUse{size, 0});
-    if (inserted) ledger_resident_ += size;
-    ++it->second.refs;
-  }
-}
-
-void ExpansionCache::ReleaseEntry(Shard& shard, const Entry& entry) {
-  // Subtract exactly what the entry paid: never more, so shard byte
-  // counters cannot underflow even when a shared buffer's original
+void ExpansionCache::RemoveLocked(std::list<Entry>::iterator it) {
+  const Entry& entry = *it;
+  // Subtract exactly what the entry paid: never more, so the charged
+  // byte count cannot underflow even when a shared buffer's original
   // payer was evicted before its sharers. (In that case the freed
   // bytes are under-reported until the last sharer goes — a bounded,
   // conservative error in the safe direction for the budget.)
-  shard.bytes -= entry.charge;
+  bytes_ -= entry.charge;
   CacheMetrics::Get().bytes->Add(-static_cast<int64_t>(entry.charge));
-  std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
   uint64_t resident_before = ledger_resident_ + private_total_;
   for (const auto& [buffer_id, size] : entry.buffers) {
-    auto it = ledger_.find(buffer_id);
-    if (it == ledger_.end()) continue;
-    if (--it->second.refs == 0) {
-      ledger_resident_ -= it->second.size;
-      ledger_.erase(it);
+    auto use = ledger_.find(buffer_id);
+    if (use == ledger_.end()) continue;
+    if (--use->second.refs == 0) {
+      ledger_resident_ -= use->second.size;
+      ledger_.erase(use);
     }
   }
   private_total_ -= entry.private_bytes;
@@ -144,19 +97,12 @@ void ExpansionCache::ReleaseEntry(Shard& shard, const Entry& entry) {
   CacheMetrics::Get().resident->Add(
       static_cast<int64_t>(ledger_resident_ + private_total_) -
       static_cast<int64_t>(resident_before));
+  index_.erase(entry.id);
+  lru_.erase(it);
 }
 
 void ExpansionCache::Insert(NodeId id, ValueRef value, uint64_t bytes,
                             double cost_seconds) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(id);
-  if (it != shard.index.end()) {
-    ReleaseEntry(shard, *it->second);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-
   // What would this value actually add to memory? Buffers already
   // pinned by a live entry (typically the source a timing-only
   // derivation sliced) are free; only unpinned buffers plus the
@@ -171,25 +117,24 @@ void ExpansionCache::Insert(NodeId id, ValueRef value, uint64_t bytes,
   entry.buffers.assign(audit.buffers.begin(), audit.buffers.end());
   entry.value = std::move(value);
 
-  uint64_t charge;
-  {
-    std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
-    charge = ChargeOfLocked(entry);
-  }
-  if (charge > shard.budget) {
-    ++shard.oversize_rejects;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto existing = index_.find(id);
+  if (existing != index_.end()) RemoveLocked(existing->second);
+
+  uint64_t charge = ChargeOfLocked(entry);
+  if (charge > budget_) {
+    ++oversize_rejects_;
     return;  // Caching it would break the budget invariant.
   }
-  while (!shard.lru.empty() && shard.bytes + charge > shard.budget) {
+  while (!lru_.empty() && bytes_ + charge > budget_) {
     // Weigh the few least-recently-used entries and evict the one whose
     // recomputation is cheapest per byte freed.
-    auto victim = std::prev(shard.lru.end());
+    auto victim = std::prev(lru_.end());
     double victim_density =
         victim->cost_seconds /
         static_cast<double>(std::max<uint64_t>(victim->charge, 1));
     auto candidate = victim;
-    for (int i = 1; i < kEvictionSample && candidate != shard.lru.begin();
-         ++i) {
+    for (int i = 1; i < kEvictionSample && candidate != lru_.begin(); ++i) {
       --candidate;
       double density = candidate->cost_seconds /
                        static_cast<double>(
@@ -199,87 +144,72 @@ void ExpansionCache::Insert(NodeId id, ValueRef value, uint64_t bytes,
         victim_density = density;
       }
     }
-    ReleaseEntry(shard, *victim);
-    shard.index.erase(victim->id);
-    shard.lru.erase(victim);
-    ++shard.evictions;
+    RemoveLocked(victim);
+    ++evictions_;
     CacheMetrics::Get().evictions->Add();
     // An eviction can unpin a buffer this value shares, in which case
     // the incoming entry now has to pay for it — recompute.
-    std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
     charge = ChargeOfLocked(entry);
   }
-  if (shard.bytes + charge > shard.budget) {
+  if (bytes_ + charge > budget_) {
     // Evicting everything still doesn't make room (possible only when
     // evictions unpinned buffers this value must now pay for).
-    ++shard.oversize_rejects;
+    ++oversize_rejects_;
     return;
   }
 
   entry.charge = charge;
-  {
-    std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
-    uint64_t resident_before = ledger_resident_ + private_total_;
-    PinBuffersLocked(entry);
-    private_total_ += entry.private_bytes;
-    logical_total_ += entry.bytes;
-    CacheMetrics::Get().logical->Add(static_cast<int64_t>(entry.bytes));
-    CacheMetrics::Get().resident->Add(
-        static_cast<int64_t>(ledger_resident_ + private_total_) -
-        static_cast<int64_t>(resident_before));
+  uint64_t resident_before = ledger_resident_ + private_total_;
+  for (const auto& [buffer_id, size] : entry.buffers) {
+    auto [use, inserted] = ledger_.try_emplace(buffer_id, BufferUse{size, 0});
+    if (inserted) ledger_resident_ += size;
+    ++use->second.refs;
   }
-  shard.lru.push_front(std::move(entry));
-  shard.index.emplace(id, shard.lru.begin());
-  shard.bytes += charge;
-  ++shard.insertions;
+  private_total_ += entry.private_bytes;
+  logical_total_ += entry.bytes;
+  CacheMetrics::Get().logical->Add(static_cast<int64_t>(entry.bytes));
+  CacheMetrics::Get().resident->Add(
+      static_cast<int64_t>(ledger_resident_ + private_total_) -
+      static_cast<int64_t>(resident_before));
+  lru_.push_front(std::move(entry));
+  index_.emplace(id, lru_.begin());
+  bytes_ += charge;
+  ++insertions_;
   CacheMetrics::Get().insertions->Add();
   CacheMetrics::Get().bytes->Add(static_cast<int64_t>(charge));
 }
 
 void ExpansionCache::Erase(NodeId id) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(id);
-  if (it == shard.index.end()) return;
-  ReleaseEntry(shard, *it->second);
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-  ++shard.invalidations;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(id);
+  if (it == index_.end()) return;
+  RemoveLocked(it->second);
+  ++invalidations_;
   CacheMetrics::Get().invalidations->Add();
 }
 
 void ExpansionCache::Clear() {
-  for (int i = 0; i < shard_count_; ++i) {
-    Shard& shard = shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.invalidations += shard.lru.size();
-    CacheMetrics::Get().invalidations->Add(shard.lru.size());
-    for (const Entry& entry : shard.lru) ReleaseEntry(shard, entry);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  invalidations_ += lru_.size();
+  CacheMetrics::Get().invalidations->Add(lru_.size());
+  while (!lru_.empty()) RemoveLocked(lru_.begin());
 }
 
 CacheStats ExpansionCache::stats() const {
-  CacheStats total;
-  total.budget_bytes = budget_;
-  for (int i = 0; i < shard_count_; ++i) {
-    const Shard& shard = shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total.hits += shard.hits;
-    total.misses += shard.misses;
-    total.evictions += shard.evictions;
-    total.insertions += shard.insertions;
-    total.oversize_rejects += shard.oversize_rejects;
-    total.invalidations += shard.invalidations;
-    total.bytes_cached += shard.bytes;
-    total.entries += shard.lru.size();
-  }
-  std::lock_guard<std::mutex> ledger_lock(ledger_mu_);
-  total.logical_bytes = logical_total_;
-  total.resident_bytes = ledger_resident_ + private_total_;
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  CacheStats stats;
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.evictions = evictions_;
+  stats.insertions = insertions_;
+  stats.oversize_rejects = oversize_rejects_;
+  stats.invalidations = invalidations_;
+  stats.bytes_cached = bytes_;
+  stats.entries = lru_.size();
+  stats.budget_bytes = budget_;
+  stats.logical_bytes = logical_total_;
+  stats.resident_bytes = ledger_resident_ + private_total_;
+  return stats;
 }
 
 }  // namespace tbm

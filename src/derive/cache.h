@@ -3,9 +3,7 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,7 +22,7 @@ struct CacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;         ///< Entries pushed out by the byte budget.
   uint64_t insertions = 0;
-  uint64_t oversize_rejects = 0;  ///< Values too large to ever fit a shard.
+  uint64_t oversize_rejects = 0;  ///< Values too large to ever fit.
   uint64_t invalidations = 0;     ///< Entries dropped by Erase()/Clear().
   uint64_t bytes_cached = 0;      ///< Current charged occupancy (deduped).
   uint64_t entries = 0;           ///< Current entry count.
@@ -35,39 +33,35 @@ struct CacheStats {
   /// Actual bytes pinned: unique backing-buffer allocations (counted
   /// once however many entries share them) plus unshared value bytes.
   uint64_t resident_bytes = 0;
-
-  std::string ToString() const;
 };
 
-/// A sharded, byte-budgeted expansion cache for derivation results.
+/// A byte-budgeted expansion cache for derivation results.
 ///
 /// The paper's derivation objects store the *specification* of each
 /// step and are expanded on demand (§4.2); under server load the
 /// expansions themselves must be reusable yet bounded in memory. This
 /// cache maps derivation nodes to their expanded values with:
 ///
-///  - **sharding**: entries hash to one of N independently locked
-///    shards, so concurrent evaluation workers rarely contend;
-///  - **byte budget**: the sum of cached value sizes never exceeds the
-///    configured budget (values larger than a shard's slice are simply
-///    not cached);
-///  - **cost-aware LRU eviction**: when a shard must make room it
-///    examines a small sample of its least-recently-used entries and
-///    evicts the one that is cheapest to recompute per byte freed
-///    (recompute seconds / bytes), so an expensive little render
-///    outlives a cheap bulky memcpy of the same age.
+///  - **byte budget**: the sum of cached value charges never exceeds
+///    the configured budget (a value that cannot fit even in an empty
+///    cache is simply not cached);
+///  - **cost-aware LRU eviction**: to make room the cache examines a
+///    small sample of its least-recently-used entries and evicts the
+///    one that is cheapest to recompute per byte freed (recompute
+///    seconds / bytes), so an expensive little render outlives a cheap
+///    bulky memcpy of the same age.
 ///
-/// Thread-safe. ValueRefs returned by Lookup remain valid after the
+/// Thread-safe: one mutex guards the LRU list, the index, the buffer
+/// ledger and the totals. Lookups happen during the engine's
+/// single-threaded planning; only parallel evaluation workers insert
+/// concurrently. ValueRefs returned by Lookup remain valid after the
 /// entry is evicted.
 class ExpansionCache {
  public:
-  static constexpr int kDefaultShards = 8;
   /// How many LRU-tail entries the evictor weighs against each other.
   static constexpr int kEvictionSample = 4;
 
-  /// `budget_bytes` is the total ceiling across shards; each of the
-  /// `shards` slices enforces an equal share of it.
-  explicit ExpansionCache(uint64_t budget_bytes, int shards = kDefaultShards);
+  explicit ExpansionCache(uint64_t budget_bytes);
   ~ExpansionCache();
 
   ExpansionCache(const ExpansionCache&) = delete;
@@ -105,48 +99,36 @@ class ExpansionCache {
     std::vector<std::pair<uint64_t, uint64_t>> buffers;
     double cost_seconds = 0.0;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  ///< Front = most recently used.
-    std::unordered_map<NodeId, std::list<Entry>::iterator> index;
-    uint64_t bytes = 0;
-    uint64_t budget = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t insertions = 0;
-    uint64_t oversize_rejects = 0;
-    uint64_t invalidations = 0;
-  };
-  /// Cross-shard residency of one backing buffer.
+  /// Residency of one backing buffer.
   struct BufferUse {
     uint64_t size = 0;
-    uint64_t refs = 0;  ///< Live entries (any shard) referencing it.
+    uint64_t refs = 0;  ///< Live entries referencing it.
   };
 
-  Shard& ShardFor(NodeId id);
   /// Bytes `entry` would charge right now: private bytes plus buffers
-  /// not yet pinned by any live entry. Caller holds `ledger_mu_`.
+  /// not yet pinned by any live entry. Caller holds `mu_`.
   uint64_t ChargeOfLocked(const Entry& entry) const;
-  /// Commits `entry`'s buffer references into the ledger. Caller holds
-  /// `ledger_mu_`.
-  void PinBuffersLocked(const Entry& entry);
-  /// Removes one entry's accounting (ledger refs, shard bytes, global
-  /// totals). Caller holds `shard.mu`; takes `ledger_mu_` itself.
-  void ReleaseEntry(Shard& shard, const Entry& entry);
+  /// Removes one entry's accounting (ledger refs, charged bytes,
+  /// totals) and the entry itself. Caller holds `mu_`.
+  void RemoveLocked(std::list<Entry>::iterator it);
 
-  uint64_t budget_;
-  int shard_count_;
-  std::unique_ptr<Shard[]> shards_;
+  const uint64_t budget_;
 
-  /// Buffer ledger: which backing buffers are pinned by live entries,
-  /// deduplicated across shards. Locked after a shard's `mu` (always
-  /// in that order); never held across shard-lock acquisition.
-  mutable std::mutex ledger_mu_;
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  ///< Front = most recently used.
+  std::unordered_map<NodeId, std::list<Entry>::iterator> index_;
+  /// Which backing buffers are pinned by live entries, deduplicated.
   std::unordered_map<uint64_t, BufferUse> ledger_;
+  uint64_t bytes_ = 0;            ///< Σ charges of live entries.
   uint64_t ledger_resident_ = 0;  ///< Σ sizes of pinned buffers.
   uint64_t private_total_ = 0;    ///< Σ private bytes of live entries.
   uint64_t logical_total_ = 0;    ///< Σ declared bytes of live entries.
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
+  uint64_t insertions_ = 0;
+  uint64_t oversize_rejects_ = 0;
+  uint64_t invalidations_ = 0;
 };
 
 }  // namespace tbm

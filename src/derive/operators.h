@@ -26,10 +26,10 @@ std::string_view DerivationCategoryToString(DerivationCategory category);
 using DerivationFn = std::function<Result<MediaValue>(
     const std::vector<const MediaValue*>& args, const AttrMap& params)>;
 
-/// Whole-value form of a unary derivation for the plan compiler: takes
-/// the single argument by value (so an exclusively owned payload may be
-/// transformed in place) and returns the derived value. Must compute
-/// exactly what the op's DerivationFn computes.
+/// Whole-value form of a unary derivation, which the plan compiler may
+/// place inside a fused stage: takes the single argument by value (so
+/// an exclusively owned payload may be transformed in place) and
+/// returns the derived value.
 using StageFn =
     std::function<Result<MediaValue>(MediaValue value, const AttrMap& params)>;
 
@@ -86,22 +86,25 @@ using ElementKernelFn = std::function<Result<ElementKernel>(
     const ElementShape& in, const AttrMap& params)>;
 
 /// Registry entry: signature and category metadata (the columns of
-/// Table 1) plus the evaluator.
+/// Table 1) plus the evaluator, which is exactly one of `fn` and
+/// `stage_fn`.
 struct DerivationOp {
   std::string name;
   std::vector<MediaKind> arg_kinds;
   MediaKind result_kind;
   DerivationCategory category;
   std::string description;
-  DerivationFn fn;
+  /// Evaluator of ops the plan compiler never appends to a fused chain
+  /// (multi-argument, timing and stream-generic ops, among others).
+  DerivationFn fn = nullptr;
   /// Generic timing derivations (paper: "derivations involving changes
   /// in timing are generic in the sense that they apply to all
   /// time-based media"): when true, the single argument may be a timed
   /// stream of any media kind and the result has the same kind.
   bool stream_generic = false;
-  /// Whole-value single-argument form, set for content ops the plan
-  /// compiler may place inside a fused stage. Null for multi-argument,
-  /// timing-alias and stream-generic ops.
+  /// Evaluator of unary content ops the plan compiler may place inside
+  /// a fused stage. Node-at-a-time evaluation (ApplyOp) calls it on a
+  /// copy of the argument.
   StageFn stage_fn = nullptr;
   /// Per-element kernel factory, set for ops that can run inside a
   /// fused element loop (see ElementKernel). Null otherwise.
@@ -136,6 +139,9 @@ struct DerivationOp {
 /// There is one spelling per key; an unknown key is ignored.
 class DerivationRegistry {
  public:
+  /// Adds `op`. InvalidArgument unless it has exactly one of `fn` and
+  /// `stage_fn`, or if it has a `stage_fn` but not exactly one argument;
+  /// AlreadyExists if the name is taken.
   Status Register(DerivationOp op);
   Result<const DerivationOp*> Find(const std::string& name) const;
   std::vector<std::string> Names() const;

@@ -229,7 +229,7 @@ std::string CompiledPlan::ToString() const {
 
 CompiledPlan CompilePlan(std::vector<PlanNodeSpec> specs,
                          const std::unordered_map<NodeId, int>& consumer_count,
-                         const PlanOptions& options) {
+                         bool fuse) {
   CompiledPlan plan;
   plan.stages.reserve(specs.size());
   // Stage index currently tailed by each open (extendable) node value.
@@ -238,7 +238,7 @@ CompiledPlan CompilePlan(std::vector<PlanNodeSpec> specs,
     const NodeId id = spec.id;
     const bool extendable = spec.op != nullptr;
     bool appended = false;
-    if (options.fuse && spec.op != nullptr && spec.op->stage_fn != nullptr &&
+    if (fuse && spec.op != nullptr && spec.op->stage_fn != nullptr &&
         spec.inputs.size() == 1) {
       auto tail = open_tail.find(spec.inputs[0]);
       if (tail != open_tail.end()) {

@@ -42,13 +42,6 @@ struct PlanStage {
   const std::vector<NodeId>& inputs() const { return nodes.front().inputs; }
 };
 
-/// Compiler knobs. `fuse = false` compiles every node into its own
-/// stage, reproducing node-at-a-time evaluation exactly (the `tbmctl
-/// eval --no-fuse` escape hatch).
-struct PlanOptions {
-  bool fuse = true;
-};
-
 /// The executable form of one Evaluate call's subgraph.
 struct CompiledPlan {
   /// Stages in topological order (derived from the node topo order, so
@@ -71,10 +64,12 @@ struct CompiledPlan {
 /// (`consumer_count`) — so eliding A's value can never starve another
 /// reader, in this evaluation or a later one. Any node can head a
 /// chain (multi-input ops only as the head); unknown-op nodes compile
-/// to non-extendable singleton stages.
+/// to non-extendable singleton stages. `fuse = false` compiles every
+/// node into its own stage, reproducing node-at-a-time evaluation
+/// exactly (the `tbmctl eval --no-fuse` escape hatch).
 CompiledPlan CompilePlan(std::vector<PlanNodeSpec> specs,
                          const std::unordered_map<NodeId, int>& consumer_count,
-                         const PlanOptions& options = {});
+                         bool fuse = true);
 
 /// Per-stage execution accounting, consumed by the engine's stats.
 struct FusedStageStats {

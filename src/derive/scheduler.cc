@@ -140,7 +140,7 @@ DerivationEngine::DerivationEngine(DerivationGraph* graph, EvalOptions options)
       options_(options),
       threads_(options.threads == 0 ? ThreadPool::DefaultThreads()
                                     : std::max(options.threads, 1)),
-      cache_(options.cache_budget_bytes, options.cache_shards) {}
+      cache_(options.cache_budget_bytes) {}
 
 DerivationEngine::~DerivationEngine() = default;
 
@@ -292,19 +292,27 @@ Result<ValueRef> DerivationEngine::ExecuteParallel(Plan* plan) {
   struct Run {
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<size_t> ready;  // Stage indices.
     int inflight = 0;
-    Status error;      // First failure in completion order.
-    bool stop = false; // fail_fast tripped: schedule nothing further.
+    Status error;  // First failure in completion order.
   };
   Run run;
 
   // exec(s) evaluates one stage and, under the run lock, releases any
-  // dependent stages whose inputs are now all resolved. Newly ready
-  // stages are submitted outside the lock. The driver below joins on
-  // inflight == 0 && ready.empty(), so `run`, `plan` and `exec` outlive
-  // every task that references them.
-  std::function<void(size_t)> exec = [&](size_t s) {
+  // dependent stages whose inputs are now all resolved. After the first
+  // failure nothing further is released; in-flight stages still finish.
+  // Newly ready stages are submitted outside the lock. The driver below
+  // joins on inflight == 0, so `run`, `plan` and `exec` outlive every
+  // task that references them.
+  std::function<void(size_t)> exec;
+  auto submit = [this, &exec](size_t s) {
+    int64_t submitted = obs::NowTicksNs();
+    pool_->Submit([&exec, s, submitted] {
+      EngineMetrics::Get().queue_wait_us->Record(static_cast<uint64_t>(
+          std::max<int64_t>(0, obs::NowTicksNs() - submitted) / 1000));
+      exec(s);
+    });
+  };
+  exec = [&](size_t s) {
     const PlanStage& stage = plan->compiled.stages[s];
     std::vector<const MediaValue*> args;
     args.reserve(stage.inputs().size());
@@ -318,60 +326,33 @@ Result<ValueRef> DerivationEngine::ExecuteParallel(Plan* plan) {
       }
     }
     Result<ValueRef> result = ApplyStage(*plan, s, args);
-    std::vector<size_t> to_submit;
+    std::vector<size_t> ready;
     {
       std::lock_guard<std::mutex> lock(run.mu);
       --run.inflight;
       if (!result.ok()) {
         if (run.error.ok()) run.error = result.status();
-        if (options_.fail_fast) {
-          run.stop = true;
-          run.ready.clear();
-        }
-        // Without fail_fast, dependents of the failed stage simply
-        // never become ready; independent branches keep going.
-      } else if (!run.stop) {
+      } else if (run.error.ok()) {
         plan->values.emplace(stage.output(), std::move(*result));
         for (size_t dep : plan->dependents[stage.output()]) {
-          if (--plan->remaining[dep] == 0) run.ready.push_back(dep);
+          if (--plan->remaining[dep] == 0) ready.push_back(dep);
         }
-      } else {
-        plan->values.emplace(stage.output(), std::move(*result));
       }
-      to_submit.swap(run.ready);
-      run.inflight += static_cast<int>(to_submit.size());
+      run.inflight += static_cast<int>(ready.size());
       if (run.inflight == 0) run.cv.notify_all();
     }
-    for (size_t next : to_submit) {
-      int64_t submitted = obs::NowTicksNs();
-      pool_->Submit([&exec, next, submitted] {
-        EngineMetrics::Get().queue_wait_us->Record(static_cast<uint64_t>(
-            std::max<int64_t>(0, obs::NowTicksNs() - submitted) / 1000));
-        exec(next);
-      });
-    }
+    for (size_t next : ready) submit(next);
   };
 
-  {
-    std::lock_guard<std::mutex> lock(run.mu);
-    for (size_t s = 0; s < plan->compiled.stages.size(); ++s) {
-      if (plan->remaining[s] == 0) run.ready.push_back(s);
-    }
-    run.inflight = static_cast<int>(run.ready.size());
-  }
   std::vector<size_t> seeds;
+  for (size_t s = 0; s < plan->compiled.stages.size(); ++s) {
+    if (plan->remaining[s] == 0) seeds.push_back(s);
+  }
   {
     std::lock_guard<std::mutex> lock(run.mu);
-    seeds.swap(run.ready);
+    run.inflight = static_cast<int>(seeds.size());
   }
-  for (size_t s : seeds) {
-    int64_t submitted = obs::NowTicksNs();
-    pool_->Submit([&exec, s, submitted] {
-      EngineMetrics::Get().queue_wait_us->Record(static_cast<uint64_t>(
-          std::max<int64_t>(0, obs::NowTicksNs() - submitted) / 1000));
-      exec(s);
-    });
-  }
+  for (size_t s : seeds) submit(s);
   {
     std::unique_lock<std::mutex> lock(run.mu);
     run.cv.wait(lock, [&run] { return run.inflight == 0; });
@@ -469,8 +450,7 @@ Result<ValueRef> DerivationEngine::Evaluate(NodeId id) {
     for (const DerivationGraph::Node& node : graph_->nodes_) {
       for (NodeId input : node.inputs) ++consumers[input];
     }
-    plan.compiled = CompilePlan(std::move(specs), consumers,
-                                PlanOptions{options_.fuse});
+    plan.compiled = CompilePlan(std::move(specs), consumers, options_.fuse);
     plan.remaining.assign(plan.compiled.stages.size(), 0);
     for (size_t s = 0; s < plan.compiled.stages.size(); ++s) {
       for (NodeId input : plan.compiled.stages[s].inputs()) {

@@ -19,23 +19,14 @@ namespace tbm {
 struct EvalOptions {
   /// Worker threads for DAG-parallel expansion. 1 evaluates inline on
   /// the calling thread (fully deterministic scheduling); 0 means "use
-  /// the hardware" (ThreadPool::DefaultThreads()).
+  /// the hardware" (ThreadPool::DefaultThreads()). Either way the first
+  /// failing derivation stops the scheduling of further nodes
+  /// (in-flight nodes still finish) and is the reported error.
   int threads = 1;
 
   /// Byte budget of the expansion cache. The cache never holds more
   /// than this many bytes of expanded media.
   uint64_t cache_budget_bytes = 256ull << 20;  // 256 MiB
-
-  /// Lock shards of the expansion cache.
-  int cache_shards = ExpansionCache::kDefaultShards;
-
-  /// When true (default), the first failing derivation stops the
-  /// scheduling of further nodes; in-flight nodes still finish. When
-  /// false, every node whose inputs all succeeded is still evaluated
-  /// (useful for batch jobs that want all cacheable work done even if
-  /// one branch is broken). The reported error is the first failure in
-  /// completion order either way.
-  bool fail_fast = true;
 
   /// When true (default), the engine compiles each evaluation through
   /// the plan compiler (derive/plan.h): maximal chains of
@@ -98,11 +89,11 @@ struct EvalStats {
 ///    expand concurrently. Operators are pure functions, so results
 ///    are identical to the single-threaded ones.
 ///
-/// Completed expansions land in a sharded, byte-budgeted,
-/// cost-aware-LRU ExpansionCache (derive/cache.h). Graph mutations are
-/// reconciled at the start of each Evaluate: nodes dirtied by
-/// UpdateParams — and everything downstream of them — are invalidated
-/// before planning.
+/// Completed expansions land in a byte-budgeted, cost-aware-LRU
+/// ExpansionCache (derive/cache.h), which serves later Evaluate calls
+/// on the same engine. Graph mutations are reconciled at the start of
+/// each Evaluate: nodes dirtied by UpdateParams — and everything
+/// downstream of them — are invalidated before planning.
 ///
 /// Thread-safety: an engine may be shared; concurrent Evaluate calls
 /// are serialized internally. The underlying graph must not be mutated

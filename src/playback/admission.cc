@@ -88,32 +88,7 @@ Status AdmissionController::Admit(const std::string& session,
                                   const MediaDescriptor& descriptor) {
   TBM_ASSIGN_OR_RETURN(RateProfile profile,
                        RateProfileFromDescriptor(descriptor));
-  return AdmitProfile(session, profile);
-}
-
-Status AdmissionController::AdmitProfile(const std::string& session,
-                                         const RateProfile& profile) {
-  if (sessions_.count(session) > 0) {
-    return Status::AlreadyExists("session \"" + session +
-                                 "\" already admitted");
-  }
-  double booking = BookingFor(profile);
-  if (booking <= 0.0) {
-    return Status::InvalidArgument("descriptor has non-positive data rate");
-  }
-  if (booked_ + booking > capacity_) {
-    AdmissionMetrics::Get().rejected->Add();
-    return Status::ResourceExhausted(
-        "admitting \"" + session + "\" needs " + HumanRate(booking) +
-        " but only " + HumanRate(available()) + " of " +
-        HumanRate(capacity_) + " remain");
-  }
-  booked_ += booking;
-  sessions_.emplace(session, booking);
-  AdmissionMetrics::Get().admitted->Add();
-  AdmissionMetrics::Get().booked_bytes_per_second->Set(
-      static_cast<int64_t>(booked_));
-  return Status::OK();
+  return AdmitDegrading(session, profile, 1).status();
 }
 
 Result<AdmissionController::AdmitDecision> AdmissionController::AdmitDegrading(

@@ -79,16 +79,14 @@ class AdmissionController {
   /// capacity; NotFound if the descriptor lacks rate annotations.
   Status Admit(const std::string& session, const MediaDescriptor& descriptor);
 
-  /// Admits straight from a rate profile — the metadata-only path for
-  /// callers that computed the profile from placements
-  /// (MeasureRateProfileFromPlacements) rather than descriptor
-  /// annotations.
-  Status AdmitProfile(const std::string& session, const RateProfile& profile);
-
   /// Degrade-before-deny admission: tries full fidelity first, then
   /// doubles the stride (halving the booked rate) up to `max_stride`,
   /// and denies (ResourceExhausted) only when even the thinnest tier
   /// does not fit. `max_stride` is clamped to a power of two >= 1.
+  /// With `max_stride` 1 it admits at full fidelity or not at all: the
+  /// metadata-only path for callers that computed the profile from
+  /// placements (MeasureRateProfileFromPlacements) rather than
+  /// descriptor annotations.
   Result<AdmitDecision> AdmitDegrading(const std::string& session,
                                        const RateProfile& profile,
                                        int max_stride);

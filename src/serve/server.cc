@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "base/macros.h"
@@ -137,32 +136,6 @@ bool ByteBudget::TryAcquire(uint64_t bytes) {
   if (tokens_ < cost) return false;
   tokens_ -= cost;
   return true;
-}
-
-bool ByteBudget::AcquireWithin(uint64_t bytes,
-                               std::chrono::milliseconds timeout) {
-  if (rate_ <= 0) return true;
-  auto deadline = std::chrono::steady_clock::now() + timeout;
-  double cost = static_cast<double>(bytes);
-  for (;;) {
-    std::chrono::milliseconds nap{1};
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Refill();
-      if (tokens_ >= cost) {
-        tokens_ -= cost;
-        return true;
-      }
-      // Sleep roughly until the deficit refills (bounded below).
-      double deficit = cost - tokens_;
-      nap = std::chrono::milliseconds(std::max<int64_t>(
-          1, static_cast<int64_t>(1000.0 * deficit / std::max(rate_, 1.0))));
-    }
-    auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return false;
-    std::this_thread::sleep_for(
-        std::min<std::chrono::nanoseconds>(nap, deadline - now));
-  }
 }
 
 void ByteBudget::ForceAcquire(uint64_t bytes) {

@@ -123,11 +123,6 @@ class ByteBudget {
   /// Claims `bytes` if available now.
   bool TryAcquire(uint64_t bytes);
 
-  /// Claims `bytes`, sleeping for refills up to `timeout`. False when
-  /// the deadline passes first. (Blocking — test/tool use only; the
-  /// reactor path defers via a timer instead.)
-  bool AcquireWithin(uint64_t bytes, std::chrono::milliseconds timeout);
-
   /// Claims `bytes` unconditionally; the balance may go negative and
   /// is paid back by future refills (later acquires wait longer).
   /// Keeps the send path live when the budget is persistently starved.

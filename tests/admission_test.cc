@@ -135,16 +135,20 @@ TEST(AdmissionTest, Validation) {
   EXPECT_TRUE(controller.Admit("z", zero).IsInvalidArgument());
 }
 
-TEST(AdmissionTest, AdmitProfileSkipsDescriptorAnnotations) {
+TEST(AdmissionTest, AdmitDegradingSkipsDescriptorAnnotations) {
   AdmissionController controller(500000.0,
                                  AdmissionController::Policy::kAverageRate);
   RateProfile profile{200000.0, 220000.0};
-  EXPECT_TRUE(controller.AdmitProfile("a", profile).ok());
-  EXPECT_TRUE(controller.AdmitProfile("b", profile).ok());
-  EXPECT_TRUE(controller.AdmitProfile("c", profile).IsResourceExhausted());
-  EXPECT_TRUE(controller.AdmitProfile("a", profile).IsAlreadyExists());
+  EXPECT_TRUE(controller.AdmitDegrading("a", profile, 1).ok());
+  EXPECT_TRUE(controller.AdmitDegrading("b", profile, 1).ok());
+  EXPECT_TRUE(controller.AdmitDegrading("c", profile, 1)
+                  .status()
+                  .IsResourceExhausted());
   EXPECT_TRUE(
-      controller.AdmitProfile("z", RateProfile{0.0, 0.0}).IsInvalidArgument());
+      controller.AdmitDegrading("a", profile, 1).status().IsAlreadyExists());
+  EXPECT_TRUE(controller.AdmitDegrading("z", RateProfile{0.0, 0.0}, 1)
+                  .status()
+                  .IsInvalidArgument());
   EXPECT_NEAR(controller.booked(), 400000.0, 1.0);
 }
 
@@ -188,7 +192,7 @@ TEST(AdmissionTest, RebookAdjustsBookingInPlace) {
   AdmissionController controller(1000000.0,
                                  AdmissionController::Policy::kAverageRate);
   ASSERT_TRUE(
-      controller.AdmitProfile("s1", RateProfile{600000.0, 600000.0}).ok());
+      controller.AdmitDegrading("s1", RateProfile{600000.0, 600000.0}, 1).ok());
   EXPECT_TRUE(controller.Rebook("ghost", 1.0).IsNotFound());
   EXPECT_TRUE(controller.Rebook("s1", 0.0).IsInvalidArgument());
 
@@ -196,7 +200,7 @@ TEST(AdmissionTest, RebookAdjustsBookingInPlace) {
   ASSERT_TRUE(controller.Rebook("s1", 300000.0).ok());
   EXPECT_NEAR(controller.booked(), 300000.0, 1.0);
   ASSERT_TRUE(
-      controller.AdmitProfile("s2", RateProfile{600000.0, 600000.0}).ok());
+      controller.AdmitDegrading("s2", RateProfile{600000.0, 600000.0}, 1).ok());
 
   // An increase that no longer fits fails and keeps the old booking.
   EXPECT_TRUE(controller.Rebook("s1", 600000.0).IsResourceExhausted());

@@ -262,7 +262,7 @@ TEST(CacheAccountingTest, SharedBuffersChargeOnce) {
   uint64_t slowed_logical = ExpandedBytes(*slowed);
   ASSERT_EQ(slowed_logical, 8 * source_bytes);
 
-  ExpansionCache cache(1 << 20, /*shards=*/1);
+  ExpansionCache cache(1 << 20);
   cache.Insert(1, Ref(std::move(source)), source_bytes, 0.01);
   cache.Insert(2, Ref(std::move(*slowed)), slowed_logical, 0.01);
 
@@ -287,7 +287,7 @@ TEST(CacheAccountingTest, LogicallyOversizeViewStillFits) {
 
   // Budget fits the source but is far below the view's logical size:
   // pre-refactor this Insert was an oversize reject.
-  ExpansionCache cache(source_bytes + 512, /*shards=*/1);
+  ExpansionCache cache(source_bytes + 512);
   ASSERT_GT(slowed_logical, cache.budget_bytes());
   cache.Insert(1, Ref(std::move(source)), source_bytes, 0.01);
   cache.Insert(2, Ref(std::move(*slowed)), slowed_logical, 0.01);
@@ -309,7 +309,7 @@ TEST(CacheAccountingTest, ResidencySurvivesEvictingThePayer) {
   ASSERT_TRUE(edited.ok());
   uint64_t edited_logical = ExpandedBytes(*edited);
 
-  ExpansionCache cache(1 << 20, /*shards=*/1);
+  ExpansionCache cache(1 << 20);
   cache.Insert(1, Ref(std::move(source)), source_bytes, 0.01);
   cache.Insert(2, Ref(std::move(*edited)), edited_logical, 0.01);
   cache.Erase(1);  // The entry that paid for the shared buffers.
@@ -332,7 +332,7 @@ TEST(CacheAccountingTest, ResidencySurvivesEvictingThePayer) {
 TEST(CacheAccountingTest, ValueOutlivesCacheClear) {
   MediaValue source = SmallClip(2);
   uint64_t source_bytes = ExpandedBytes(source);
-  ExpansionCache cache(1 << 20, /*shards=*/1);
+  ExpansionCache cache(1 << 20);
   cache.Insert(7, Ref(std::move(source)), source_bytes, 0.01);
   ValueRef held = cache.Lookup(7);
   ASSERT_NE(held, nullptr);

@@ -86,6 +86,55 @@ TEST(RegistryTest, ArityAndKindChecked) {
                   .IsInvalidArgument());
 }
 
+DerivationOp UnaryAudioOp(std::string name) {
+  DerivationOp op;
+  op.name = std::move(name);
+  op.arg_kinds = {MediaKind::kAudio};
+  op.result_kind = MediaKind::kAudio;
+  op.category = DerivationCategory::kContent;
+  return op;
+}
+
+TEST(RegistryTest, RegisterRequiresExactlyOneEvaluator) {
+  DerivationRegistry registry;
+  EXPECT_TRUE(registry.Register(UnaryAudioOp("neither"))
+                  .IsInvalidArgument());
+
+  DerivationOp both = UnaryAudioOp("both");
+  both.fn = [](const std::vector<const MediaValue*>& args,
+               const AttrMap&) -> Result<MediaValue> { return *args[0]; };
+  both.stage_fn = [](MediaValue value, const AttrMap&) -> Result<MediaValue> {
+    return value;
+  };
+  EXPECT_TRUE(registry.Register(both).IsInvalidArgument());
+  EXPECT_TRUE(registry.Find("both").status().IsNotFound());
+
+  // Each built-in op carries exactly one evaluator.
+  for (const std::string& name : Reg().Names()) {
+    const DerivationOp* op = *Reg().Find(name);
+    EXPECT_NE(op->fn == nullptr, op->stage_fn == nullptr) << name;
+  }
+}
+
+TEST(RegistryTest, StageFnRequiresOneArgument) {
+  DerivationRegistry registry;
+  for (size_t arity : {0u, 2u}) {
+    DerivationOp op = UnaryAudioOp("stage of arity " + std::to_string(arity));
+    op.arg_kinds.assign(arity, MediaKind::kAudio);
+    op.stage_fn = [](MediaValue value, const AttrMap&) -> Result<MediaValue> {
+      return value;
+    };
+    EXPECT_TRUE(registry.Register(op).IsInvalidArgument()) << arity;
+  }
+  DerivationOp unary = UnaryAudioOp("unary stage");
+  unary.stage_fn = [](MediaValue value, const AttrMap&) -> Result<MediaValue> {
+    return value;
+  };
+  ASSERT_TRUE(registry.Register(unary).ok());
+  MediaValue audio = audiogen::Sine(8000, 1, 440, 0.5, 0.1);
+  EXPECT_TRUE(registry.Apply("unary stage", {&audio}, AttrMap{}).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Parameter keys
 
