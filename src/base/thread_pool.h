@@ -35,8 +35,8 @@ struct ThreadPoolHooks {
 /// A fixed-size worker pool over a shared task queue.
 ///
 /// This is the execution substrate of the derivation evaluation engine
-/// (see derive/scheduler.h) and of parallel activity flows
-/// (playback/activity.h). Tasks are plain closures; ordering across
+/// (see derive/scheduler.h), of chunk readahead (blob/prefetcher.h) and
+/// of the media server's workers. Tasks are plain closures; ordering across
 /// tasks is unspecified, so callers sequence dependent work themselves
 /// (the scheduler does this with dependency counts).
 ///

@@ -34,12 +34,11 @@ struct PrefetchMetrics {
 
 AsyncPrefetcher::AsyncPrefetcher(std::unique_ptr<ChunkReader> reader,
                                  ThreadPool* pool, PrefetchOptions options,
-                                 uint64_t first_chunk)
+                                 std::vector<uint64_t> chunks)
     : reader_(std::move(reader)),
       pool_(pool),
       options_(options),
-      next_consume_(first_chunk),
-      next_schedule_(first_chunk) {
+      chunks_(std::move(chunks)) {
   if (options_.max_inflight_bytes == 0) options_.max_inflight_bytes = 1;
   if (pool_ != nullptr && options_.depth > 0) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -51,18 +50,13 @@ AsyncPrefetcher::~AsyncPrefetcher() {
   std::unique_lock<std::mutex> lock(mu_);
   // Stop scheduling new work and wait for tasks already on the pool;
   // their closures touch this object, so it cannot die under them.
-  next_schedule_ = reader_->chunk_count();
+  next_schedule_ = chunks_.size();
   cv_.wait(lock, [&] { return outstanding_tasks_ == 0; });
 }
 
 bool AsyncPrefetcher::Done() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return next_consume_ >= reader_->chunk_count();
-}
-
-uint64_t AsyncPrefetcher::next_index() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_consume_;
+  return next_consume_ >= chunks_.size();
 }
 
 PrefetchStats AsyncPrefetcher::stats() const {
@@ -72,12 +66,10 @@ PrefetchStats AsyncPrefetcher::stats() const {
 
 void AsyncPrefetcher::ScheduleLocked() {
   if (pool_ == nullptr || options_.depth <= 0) return;
-  const uint64_t count = reader_->chunk_count();
-  while (next_schedule_ < count &&
-         next_schedule_ <
-             next_consume_ + static_cast<uint64_t>(options_.depth)) {
-    const uint64_t index = next_schedule_;
-    const uint64_t length = reader_->ChunkRange(index).length;
+  while (next_schedule_ < chunks_.size() &&
+         next_schedule_ < next_consume_ + static_cast<size_t>(options_.depth)) {
+    const size_t position = next_schedule_;
+    const uint64_t length = reader_->ChunkRange(chunks_[position]).length;
     // Backpressure: always allow one chunk in flight so progress never
     // deadlocks on a chunk larger than the byte budget.
     if (inflight_bytes_ > 0 &&
@@ -87,11 +79,11 @@ void AsyncPrefetcher::ScheduleLocked() {
     inflight_bytes_ += length;
     ++next_schedule_;
     ++outstanding_tasks_;
-    pool_->Submit([this, index] {
+    pool_->Submit([this, position] {
       obs::ScopedSpan span("blob.prefetch.fetch");
-      Result<BufferSlice> result = reader_->ReadChunk(index);
+      Result<BufferSlice> result = reader_->ReadChunk(chunks_[position]);
       std::lock_guard<std::mutex> task_lock(mu_);
-      ready_.emplace(index, std::move(result));
+      ready_.emplace(position, std::move(result));
       --outstanding_tasks_;
       cv_.notify_all();
     });
@@ -101,22 +93,21 @@ void AsyncPrefetcher::ScheduleLocked() {
 Result<BufferSlice> AsyncPrefetcher::Next() {
   const auto& metrics = PrefetchMetrics::Get();
   std::unique_lock<std::mutex> lock(mu_);
-  const uint64_t count = reader_->chunk_count();
-  if (next_consume_ >= count) {
+  if (next_consume_ >= chunks_.size()) {
     return Status::OutOfRange("prefetcher exhausted (" +
-                              std::to_string(count) + " chunks)");
+                              std::to_string(chunks_.size()) + " chunks)");
   }
-  const uint64_t index = next_consume_;
+  const size_t position = next_consume_;
 
   Result<BufferSlice> result = BufferSlice{};
   if (pool_ == nullptr || options_.depth <= 0) {
     // Synchronous mode: fetch on the caller's thread.
     lock.unlock();
-    result = reader_->ReadChunk(index);
+    result = reader_->ReadChunk(chunks_[position]);
     lock.lock();
   } else {
     ScheduleLocked();
-    auto it = ready_.find(index);
+    auto it = ready_.find(position);
     if (it != ready_.end()) {
       ++stats_.hits;
       metrics.hits->Add();
@@ -125,16 +116,16 @@ Result<BufferSlice> AsyncPrefetcher::Next() {
       metrics.stalls->Add();
       obs::ScopedSpan span("blob.prefetch.stall");
       int64_t start_ns = obs::NowTicksNs();
-      cv_.wait(lock, [&] { return ready_.count(index) > 0; });
+      cv_.wait(lock, [&] { return ready_.count(position) > 0; });
       uint64_t waited_us = static_cast<uint64_t>(
           std::max<int64_t>(0, obs::NowTicksNs() - start_ns) / 1000);
       stats_.stall_us += waited_us;
       metrics.stall_us->Record(waited_us);
-      it = ready_.find(index);
+      it = ready_.find(position);
     }
     result = std::move(it->second);
     ready_.erase(it);
-    inflight_bytes_ -= reader_->ChunkRange(index).length;
+    inflight_bytes_ -= reader_->ChunkRange(chunks_[position]).length;
   }
 
   ++next_consume_;

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "base/thread_pool.h"
 #include "blob/chunk_reader.h"
@@ -43,10 +44,12 @@ struct PrefetchStats {
 
 /// Asynchronous sequential readahead over a ChunkReader.
 ///
-/// The consumer calls Next() to receive chunks f, f+1, f+2, … in order
-/// (f = the constructor's `first_chunk`, usually 0); the prefetcher
-/// keeps up to `depth` further chunks in flight on the
-/// thread pool, bounded by `max_inflight_bytes`. When I/O latency and
+/// The prefetcher delivers a chunk plan: an ascending list of chunk
+/// indices, fixed at construction. The consumer calls Next() to receive
+/// those chunks in order; the prefetcher keeps up to `depth` further
+/// plan chunks in flight on the thread pool, bounded by
+/// `max_inflight_bytes`. Chunks outside the plan are never read, and
+/// readahead stops at the plan's last chunk. When I/O latency and
 /// decode cost are comparable, this overlaps them almost completely —
 /// playback touches elements in timestamp order at a constant rate
 /// (paper §2.2), which is exactly the access pattern readahead wants.
@@ -61,11 +64,11 @@ struct PrefetchStats {
 class AsyncPrefetcher {
  public:
   /// `reader` is owned; `pool` is borrowed and may be null (synchronous
-  /// mode). Delivery starts at chunk `first_chunk`; nothing before it
-  /// is read. The underlying store must stay alive and unmutated for
-  /// the prefetcher's lifetime.
+  /// mode). `chunks` is the plan: ascending, distinct indices below the
+  /// reader's chunk_count(). The underlying store must stay alive and
+  /// unmutated for the prefetcher's lifetime.
   AsyncPrefetcher(std::unique_ptr<ChunkReader> reader, ThreadPool* pool,
-                  PrefetchOptions options = {}, uint64_t first_chunk = 0);
+                  PrefetchOptions options, std::vector<uint64_t> chunks);
 
   /// Blocks until outstanding chunk reads finish.
   ~AsyncPrefetcher();
@@ -73,16 +76,14 @@ class AsyncPrefetcher {
   AsyncPrefetcher(const AsyncPrefetcher&) = delete;
   AsyncPrefetcher& operator=(const AsyncPrefetcher&) = delete;
 
-  /// True when every chunk has been delivered.
+  /// True when every plan chunk has been delivered.
   bool Done() const;
 
-  /// Index of the chunk the next call to Next() delivers.
-  uint64_t next_index() const;
-
-  uint64_t chunk_count() const { return reader_->chunk_count(); }
+  /// The chunk plan, in delivery order.
+  const std::vector<uint64_t>& chunks() const { return chunks_; }
   const ChunkReader& reader() const { return *reader_; }
 
-  /// Delivers the next chunk in sequence, scheduling further readahead.
+  /// Delivers the next plan chunk, scheduling further readahead.
   /// OutOfRange once Done().
   Result<BufferSlice> Next();
 
@@ -96,12 +97,14 @@ class AsyncPrefetcher {
   std::unique_ptr<ChunkReader> reader_;
   ThreadPool* pool_;
   PrefetchOptions options_;
+  const std::vector<uint64_t> chunks_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::map<uint64_t, Result<BufferSlice>> ready_;  ///< Fetched, unconsumed.
-  uint64_t next_consume_ = 0;   ///< Next chunk Next() returns.
-  uint64_t next_schedule_ = 0;  ///< Next chunk to hand to the pool.
+  /// Fetched, unconsumed chunks, keyed by plan position.
+  std::map<size_t, Result<BufferSlice>> ready_;
+  size_t next_consume_ = 0;   ///< Plan position Next() returns.
+  size_t next_schedule_ = 0;  ///< Plan position to hand to the pool.
   uint64_t inflight_bytes_ = 0; ///< Scheduled or buffered, unconsumed.
   int outstanding_tasks_ = 0;
   PrefetchStats stats_;

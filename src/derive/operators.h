@@ -129,8 +129,15 @@ struct DerivationOp {
 /// | video concat         | video, video  | video  | timing   |
 /// | video transition     | video, video  | video  | content  |
 /// | chroma key           | video, video  | video  | content  |
+/// | video reverse        | video         | video  | timing   |
+/// | video speed          | video         | video  | timing   |
+/// | audio fade           | audio         | audio  | content  |
+/// | image crop           | image         | image  | content  |
+/// | image scale          | image         | image  | content  |
 /// | MIDI synthesis       | music         | audio  | type     |
 /// | animation render     | animation     | video  | type     |
+/// | video poster         | video         | image  | type     |
+/// | caption burn-in      | video, text   | video  | content  |
 /// | temporal translate   | any stream    | same   | timing   |
 /// | temporal scale       | any stream    | same   | timing   |
 ///

@@ -13,7 +13,7 @@ namespace tbm {
 Result<std::unique_ptr<ElementStream>> ElementStream::Open(
     const BlobStore& store, const Interpretation& interpretation,
     const std::string& name, const StreamReadOptions& options,
-    std::optional<TickSpan> span) {
+    std::optional<TickSpan> span, ElementSelection selection) {
   if (options.chunk_size == 0) {
     return Status::InvalidArgument("chunk_size must be positive");
   }
@@ -26,8 +26,10 @@ Result<std::unique_ptr<ElementStream>> ElementStream::Open(
                              : !TickSpan{e.start, e.duration}.Overlaps(*span);
     });
   }
-  return std::unique_ptr<ElementStream>(new ElementStream(
+  auto stream = std::unique_ptr<ElementStream>(new ElementStream(
       store, interpretation.blob(), std::move(selected), options));
+  TBM_RETURN_IF_ERROR(stream->Reposition(selection));
+  return stream;
 }
 
 ElementStream::ElementStream(const BlobStore& store, BlobId blob,
@@ -36,41 +38,68 @@ ElementStream::ElementStream(const BlobStore& store, BlobId blob,
     : store_(store),
       blob_(blob),
       object_(std::move(object)),
-      options_(options) {
-  const size_t n = object_.elements.size();
-  suffix_min_offset_.assign(n + 1, std::numeric_limits<uint64_t>::max());
-  for (size_t i = n; i-- > 0;) {
-    const ByteRange& range = object_.elements[i].placement;
-    suffix_min_offset_[i] =
-        range.empty() ? suffix_min_offset_[i + 1]
-                      : std::min(suffix_min_offset_[i + 1], range.offset);
+      options_(options) {}
+
+Status ElementStream::Reposition(ElementSelection selection) {
+  if (selection.stride == 0) {
+    return Status::InvalidArgument("stride must be >= 1");
   }
+  prefetcher_.reset();  // Waits for its in-flight chunk reads.
+  window_.clear();
+  next_element_ = selection.first;
+  stride_ = selection.stride;
+  return Status::OK();
 }
 
 Status ElementStream::EnsurePrefetcher() {
   if (prefetcher_ != nullptr) return Status::OK();
-  // Opened on first use rather than in Open() so readahead does not
-  // start (and OpenChunkReader cannot fail) before the first Next().
+  // Opened on first use rather than in Open() or Reposition() so
+  // readahead does not start (and OpenChunkReader cannot fail) before
+  // the first Next().
   ChunkReaderOptions reader_options;
   reader_options.chunk_size = options_.chunk_size;
   reader_options.policy = options_.policy;
   TBM_ASSIGN_OR_RETURN(std::unique_ptr<ChunkReader> reader,
                        store_.OpenChunkReader(blob_, reader_options));
+  // The plan: every chunk that a selected element from here on touches,
+  // ascending. Bytes of other objects, unselected elements, or past the
+  // BLOB end are never read.
+  const uint64_t chunk_size = reader->chunk_size();
+  const uint64_t blob_size = reader->blob_size();
+  const size_t n = object_.elements.size();
+  std::vector<bool> touched(reader->chunk_count());
+  suffix_min_offset_.assign(n + 1, std::numeric_limits<uint64_t>::max());
+  for (size_t i = n; i-- > next_element_;) {
+    suffix_min_offset_[i] = suffix_min_offset_[i + 1];
+    const ByteRange& range = object_.elements[i].placement;
+    if ((i - next_element_) % stride_ != 0 || range.empty()) continue;
+    suffix_min_offset_[i] = std::min(suffix_min_offset_[i], range.offset);
+    if (range.offset >= blob_size) continue;
+    const uint64_t end =
+        range.offset + std::min(range.length, blob_size - range.offset);
+    for (uint64_t c = range.offset / chunk_size; c <= (end - 1) / chunk_size;
+         ++c) {
+      touched[c] = true;
+    }
+  }
+  std::vector<uint64_t> chunks;
+  for (uint64_t c = 0; c < touched.size(); ++c) {
+    if (touched[c]) chunks.push_back(c);
+  }
+
   PrefetchOptions prefetch;
   prefetch.depth = options_.prefetch_depth;
   prefetch.max_inflight_bytes = options_.max_inflight_bytes;
-  // Start at the chunk holding the lowest offset any element needs:
-  // the bytes before it belong to other objects (or unselected
-  // elements) and are never read.
-  next_pull_ = suffix_min_offset_[0] / reader->chunk_size();
+  next_pull_ = 0;
   prefetcher_ = std::make_unique<AsyncPrefetcher>(
-      std::move(reader), options_.pool, prefetch, next_pull_);
+      std::move(reader), options_.pool, prefetch, std::move(chunks));
   return Status::OK();
 }
 
 Status ElementStream::AdvanceTo(uint64_t chunk) {
-  while (next_pull_ <= chunk) {
-    const uint64_t index = next_pull_++;
+  const std::vector<uint64_t>& plan = prefetcher_->chunks();
+  while (next_pull_ < plan.size() && plan[next_pull_] <= chunk) {
+    const uint64_t index = plan[next_pull_++];
     Result<BufferSlice> bytes = prefetcher_->Next();
     // A failed chunk is simply absent from the window: the element
     // needing it fails (or falls back to a direct read), later
@@ -114,8 +143,10 @@ bool ElementStream::AssembleFromWindow(ByteRange range,
   return true;
 }
 
-void ElementStream::EvictBelow(uint64_t min_future_offset) {
+void ElementStream::EvictConsumed() {
   if (prefetcher_ == nullptr) return;
+  const uint64_t min_future_offset =
+      suffix_min_offset_[std::min(next_element_, object_.elements.size())];
   const uint64_t chunk_size = prefetcher_->reader().chunk_size();
   while (!window_.empty() &&
          (window_.begin()->first + 1) * chunk_size <= min_future_offset) {
@@ -155,8 +186,8 @@ Result<StreamElement> ElementStream::Next() {
     }
   }
 
-  ++next_element_;
-  EvictBelow(suffix_min_offset_[next_element_]);
+  next_element_ += stride_;
+  EvictConsumed();
   if (!data.ok()) {
     return data.status().WithContext(
         "element " + std::to_string(placement.element_number) + " of '" +

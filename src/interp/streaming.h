@@ -52,6 +52,14 @@ struct ElementStreamStats {
   PrefetchStats prefetch;
 };
 
+/// Which elements an ElementStream delivers, counted over the elements
+/// its span selects (all of them without a span): element `first`, then
+/// every `stride`-th element after it.
+struct ElementSelection {
+  size_t first = 0;
+  uint32_t stride = 1;  ///< Must be >= 1.
+};
+
 /// Expansion of one interpreted object (the interpretation mapping of
 /// Def. 5, run on demand): delivers the object's elements in element
 /// order, reading the BLOB chunk by chunk instead of one read per
@@ -60,61 +68,74 @@ struct ElementStreamStats {
 /// stream is a drained ElementStream (MaterializeStreamed), and random
 /// access to one element is Interpretation::ReadElement.
 ///
-/// Reading starts at the chunk holding the lowest placement offset of
-/// the selected elements, so an object that does not start its BLOB,
-/// or a span near an object's end, never reads the bytes before it.
+/// The stream reads only the chunks its selected elements touch (the
+/// chunk plan), in ascending order, so an object that does not start
+/// its BLOB, a span in the middle of an object, or a strided selection
+/// over elements larger than a chunk never reads the bytes in between.
 /// Playback consumes elements in timestamp order at a sustained rate
-/// (paper §2.2), so sequential chunk readahead overlaps store latency
+/// (paper §2.2), so readahead over the plan overlaps store latency
 /// with decode/presentation work; the chunk window holds only bytes
 /// that a future element still needs, so memory stays bounded by the
 /// prefetch budget plus the span of out-of-order placements.
 ///
 /// The store (and the thread pool, if any) must outlive the stream.
 /// The Interpretation may be destroyed after Open — the placement
-/// table is copied.
+/// table is copied, once; Reposition keeps it.
 class ElementStream {
  public:
   /// Opens a stream over `interpretation`'s object `name` in `store`.
   /// With a `span`, only the elements it selects are delivered — the
   /// structural query "select a specific duration": a zero-duration
   /// element is selected when the span contains its start, any other
-  /// when its span overlaps `span`.
+  /// when its span overlaps `span`. `selection` then picks the start
+  /// element and stride among those; InvalidArgument for stride 0.
   static Result<std::unique_ptr<ElementStream>> Open(
       const BlobStore& store, const Interpretation& interpretation,
       const std::string& name, const StreamReadOptions& options = {},
-      std::optional<TickSpan> span = {});
+      std::optional<TickSpan> span = {}, ElementSelection selection = {});
 
-  /// True when every selected element has been delivered.
+  /// True when no selected element is left to deliver.
   bool Done() const { return next_element_ >= object_.elements.size(); }
 
-  /// Elements delivered so far / selected in total.
+  /// Index (into object().elements) of the element Next() delivers.
   size_t position() const { return next_element_; }
+  /// Elements the span selected (before the stride applies).
   size_t size() const { return object_.elements.size(); }
+  uint32_t stride() const { return stride_; }
+
+  /// Continues delivery from `selection` (a seek, a new stride, or
+  /// both). Drops the chunk window and the prefetcher; the next Next()
+  /// plans and reads the chunks of the new selection. InvalidArgument
+  /// for stride 0.
+  Status Reposition(ElementSelection selection);
 
   const MediaDescriptor& descriptor() const { return object_.descriptor; }
   const TimeSystem& time_system() const { return object_.time_system; }
 
-  /// The object restricted to the selected elements (all of them
-  /// without a span); element numbers are the original ones.
+  /// The object restricted to the elements the span selects (all of
+  /// them without a span); element numbers are the original ones.
   const InterpretedObject& object() const { return object_; }
 
-  /// Delivers the next element in element order; OutOfRange once
-  /// Done(). A failed read (after the policy's retries) fails only
-  /// this call — the position still advances, so a lenient caller can
-  /// skip the element and continue.
+  /// Delivers the selected element at position(), then advances by the
+  /// stride; OutOfRange once Done(). A failed read (after the policy's
+  /// retries) fails only this call — the position still advances, so a
+  /// lenient caller can skip the element and continue.
   Result<StreamElement> Next();
 
-  /// Snapshot of the stream's counters.
+  /// Snapshot of the stream's counters. `prefetch` covers the chunk
+  /// plan since the last Reposition.
   ElementStreamStats stats() const;
 
  private:
   ElementStream(const BlobStore& store, BlobId blob,
                 InterpretedObject object, StreamReadOptions options);
 
-  /// Opens the chunk reader and prefetcher on first use.
+  /// On first use after Open or Reposition: plans the chunks that the
+  /// selected elements from position() on touch, and opens the chunk
+  /// reader and the prefetcher over that plan.
   Status EnsurePrefetcher();
 
-  /// Pulls chunks from the prefetcher up to and including `chunk`.
+  /// Pulls plan chunks from the prefetcher up to and including `chunk`.
   Status AdvanceTo(uint64_t chunk);
 
   /// Serves `range` out of the chunk window: a zero-copy sub-slice of
@@ -125,8 +146,8 @@ class ElementStream {
   /// read.
   bool AssembleFromWindow(ByteRange range, BufferSlice* out) const;
 
-  /// Drops window chunks no future element needs.
-  void EvictBelow(uint64_t min_future_offset);
+  /// Drops window chunks no future selected element needs.
+  void EvictConsumed();
 
   const BlobStore& store_;
   BlobId blob_;
@@ -134,14 +155,15 @@ class ElementStream {
   StreamReadOptions options_;
   std::unique_ptr<AsyncPrefetcher> prefetcher_;
 
-  /// suffix_min_offset_[i] = min offset over the non-empty placements
-  /// of elements i..n-1 (UINT64_MAX past the end) — the eviction
-  /// horizon; entry 0 picks the first chunk read.
+  /// Built with the chunk plan: suffix_min_offset_[i] = min offset over
+  /// the non-empty placements of the selected elements among i..n-1
+  /// (UINT64_MAX past the end) — the eviction horizon.
   std::vector<uint64_t> suffix_min_offset_;
 
   std::map<uint64_t, BufferSlice> window_;  ///< chunk index -> payload.
-  uint64_t next_pull_ = 0;  ///< Next chunk the prefetcher yields.
+  size_t next_pull_ = 0;  ///< Plan position the prefetcher yields next.
   size_t next_element_ = 0;
+  uint32_t stride_ = 1;
   ElementStreamStats stats_;
 };
 

@@ -1,10 +1,6 @@
 #include "playback/activity.h"
 
-#include <condition_variable>
-#include <mutex>
-#include <optional>
 #include <utility>
-#include <vector>
 
 #include "base/macros.h"
 
@@ -20,77 +16,6 @@ Result<StreamElement> StreamSource::Next() {
 Result<StreamElement> TransformActivity::Next() {
   TBM_ASSIGN_OR_RETURN(StreamElement element, upstream_->Next());
   return fn_(std::move(element));
-}
-
-ParallelTransformActivity::ParallelTransformActivity(
-    std::unique_ptr<Activity> upstream, TransformActivity::ElementFn fn,
-    int threads, size_t window)
-    : upstream_(std::move(upstream)),
-      fn_(std::move(fn)),
-      pool_(threads == 0 ? ThreadPool::DefaultThreads() : threads),
-      window_(window == 0 ? 1 : window) {}
-
-Status ParallelTransformActivity::FillWindow() {
-  std::vector<StreamElement> batch;
-  while (batch.size() < window_) {
-    auto element = upstream_->Next();
-    if (!element.ok()) {
-      if (element.status().IsNotFound()) {
-        upstream_done_ = true;
-      } else {
-        // Elements pulled before the failure are still transformed and
-        // emitted, exactly as the serial TransformActivity would.
-        failed_ = element.status();
-        upstream_done_ = true;
-      }
-      break;
-    }
-    batch.push_back(std::move(*element));
-  }
-  if (batch.empty()) return Status::OK();
-
-  // Transform the batch concurrently; slots keep the original order.
-  std::vector<std::optional<Result<StreamElement>>> slots(batch.size());
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t done = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    pool_.Submit([this, &batch, &slots, &mu, &cv, &done, i] {
-      Result<StreamElement> out = fn_(std::move(batch[i]));
-      std::lock_guard<std::mutex> lock(mu);
-      slots[i] = std::move(out);
-      if (++done == slots.size()) cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done == slots.size(); });
-  }
-  for (auto& slot : slots) {
-    if (!slot->ok()) {
-      // Results before the failing element have already been queued;
-      // everything at or after it is discarded, like a serial pipeline
-      // stopping at the first bad element.
-      failed_ = slot->status();
-      upstream_done_ = true;
-      break;
-    }
-    ready_.push_back(std::move(**slot));
-  }
-  return Status::OK();
-}
-
-Result<StreamElement> ParallelTransformActivity::Next() {
-  while (ready_.empty() && !upstream_done_) {
-    TBM_RETURN_IF_ERROR(FillWindow());
-  }
-  if (!ready_.empty()) {
-    StreamElement element = std::move(ready_.front());
-    ready_.pop_front();
-    return element;
-  }
-  if (!failed_.ok()) return failed_;
-  return Status::NotFound("end of flow");
 }
 
 Result<StreamElement> SpanFilterActivity::Next() {

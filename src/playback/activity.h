@@ -1,11 +1,10 @@
 #ifndef TBM_PLAYBACK_ACTIVITY_H_
 #define TBM_PLAYBACK_ACTIVITY_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 
-#include "base/thread_pool.h"
 #include "stream/timed_stream.h"
 
 namespace tbm {
@@ -76,43 +75,6 @@ class TransformActivity : public Activity {
  private:
   std::unique_ptr<Activity> upstream_;
   ElementFn fn_;
-};
-
-/// TransformActivity with the element function applied across worker
-/// threads: pulls a window of elements from upstream, transforms them
-/// concurrently, and emits results in the original order. Semantics
-/// match TransformActivity exactly (same elements out for a pure `fn`;
-/// the first failing element's error is reported, earlier results
-/// first); only wall-clock changes. Useful when per-element work —
-/// decode, filter, re-quantization — dominates the flow.
-class ParallelTransformActivity : public Activity {
- public:
-  /// `threads == 0` means "use the hardware". `window` bounds how many
-  /// elements are in flight (and thus transformed-but-unconsumed
-  /// memory).
-  ParallelTransformActivity(std::unique_ptr<Activity> upstream,
-                            TransformActivity::ElementFn fn, int threads = 0,
-                            size_t window = 16);
-
-  Result<StreamElement> Next() override;
-  const MediaDescriptor& descriptor() const override {
-    return upstream_->descriptor();
-  }
-  const TimeSystem& time_system() const override {
-    return upstream_->time_system();
-  }
-
- private:
-  /// Pulls and transforms the next window; fills `ready_`.
-  Status FillWindow();
-
-  std::unique_ptr<Activity> upstream_;
-  TransformActivity::ElementFn fn_;
-  ThreadPool pool_;
-  size_t window_;
-  std::deque<StreamElement> ready_;
-  Status failed_;  ///< Sticky error once a window fails.
-  bool upstream_done_ = false;
 };
 
 /// Drops elements outside a time span (a streaming duration query).

@@ -111,37 +111,4 @@ Result<StreamedPlaybackReport> PlayStreamed(
   return report;
 }
 
-Result<StreamedPlaybackReport> PlayStreamedAdmitted(
-    AdmissionController* controller, const std::string& session,
-    const BlobStore& store, const Interpretation& interpretation,
-    const std::vector<std::string>& names, const PlaybackConfig& config,
-    const StreamReadOptions& read_options) {
-  // Book every object from placement metadata before any byte is read;
-  // roll back on rejection so a refused session leaves no residue.
-  std::vector<std::string> booked;
-  booked.reserve(names.size());
-  for (const std::string& name : names) {
-    auto object = interpretation.FindObject(name);
-    if (!object.ok()) {
-      for (const std::string& b : booked) controller->Release(b);
-      return object.status();
-    }
-    MediaDescriptor descriptor = (*object)->descriptor;
-    AnnotateRateProfile(&descriptor,
-                        MeasureRateProfileFromPlacements(**object));
-    std::string booking = session + "/" + name;
-    Status admitted = controller->Admit(booking, descriptor);
-    if (!admitted.ok()) {
-      for (const std::string& b : booked) controller->Release(b);
-      return admitted;
-    }
-    booked.push_back(std::move(booking));
-  }
-
-  Result<StreamedPlaybackReport> report =
-      PlayStreamed(store, interpretation, names, config, read_options);
-  for (const std::string& b : booked) controller->Release(b);
-  return report;
-}
-
 }  // namespace tbm

@@ -45,17 +45,6 @@ Result<StreamedPlaybackReport> PlayStreamed(
     const std::vector<std::string>& names, const PlaybackConfig& config = {},
     const StreamReadOptions& read_options = {});
 
-/// Admission-controlled variant: books one session per object from
-/// placement metadata (MeasureRateProfileFromPlacements), plays, and
-/// releases the bookings whether or not playback succeeds.
-/// ResourceExhausted — with nothing read — when the controller rejects
-/// any object.
-Result<StreamedPlaybackReport> PlayStreamedAdmitted(
-    AdmissionController* controller, const std::string& session,
-    const BlobStore& store, const Interpretation& interpretation,
-    const std::vector<std::string>& names, const PlaybackConfig& config = {},
-    const StreamReadOptions& read_options = {});
-
 }  // namespace tbm
 
 #endif  // TBM_PLAYBACK_STREAMING_H_

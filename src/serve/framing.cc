@@ -24,13 +24,18 @@ void StoreU32LE(uint8_t* p, uint32_t v) {
   p[3] = static_cast<uint8_t>(v >> 24);
 }
 
+/// Writes the kFrameV2HeaderBytes envelope at `out`.
+void WriteEnvelope(const FrameHeader& header, uint8_t* out) {
+  out[0] = kFrameV2Marker;
+  out[1] = header.flags;
+  StoreU32LE(out + 2, static_cast<uint32_t>(header.stream_id));
+}
+
 }  // namespace
 
 Bytes EncodeFrameBody(const FrameHeader& header, ByteSpan payload) {
   Bytes body(kFrameV2HeaderBytes + payload.size());
-  body[0] = kFrameV2Marker;
-  body[1] = header.flags;
-  StoreU32LE(body.data() + 2, static_cast<uint32_t>(header.stream_id));
+  WriteEnvelope(header, body.data());
   if (!payload.empty()) {
     std::memcpy(body.data() + kFrameV2HeaderBytes, payload.data(),
                 payload.size());
@@ -39,10 +44,16 @@ Bytes EncodeFrameBody(const FrameHeader& header, ByteSpan payload) {
 }
 
 Bytes EncodeFrame(const FrameHeader& header, ByteSpan payload) {
-  Bytes body = EncodeFrameBody(header, payload);
-  Bytes wire(4 + body.size());
-  StoreU32LE(wire.data(), static_cast<uint32_t>(body.size()));
-  if (!body.empty()) std::memcpy(wire.data() + 4, body.data(), body.size());
+  // Length prefix, envelope and payload go into one buffer: the payload
+  // is copied once.
+  Bytes wire(4 + kFrameV2HeaderBytes + payload.size());
+  StoreU32LE(wire.data(),
+             static_cast<uint32_t>(kFrameV2HeaderBytes + payload.size()));
+  WriteEnvelope(header, wire.data() + 4);
+  if (!payload.empty()) {
+    std::memcpy(wire.data() + 4 + kFrameV2HeaderBytes, payload.data(),
+                payload.size());
+  }
   return wire;
 }
 

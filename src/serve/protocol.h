@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "base/buffer.h"
 #include "base/bytes.h"
 #include "base/io.h"
 #include "base/result.h"
@@ -115,12 +116,14 @@ enum class SessionState : uint8_t {
 
 std::string_view SessionStateToString(SessionState state);
 
-/// One delivered element: its number, timing, and payload bytes.
+/// One delivered element: its number, timing, and payload bytes. On
+/// the server the payload aliases the chunk the element stream read,
+/// so its bytes are first copied when the response is encoded.
 struct WireElement {
   uint64_t element_number = 0;
   int64_t start = 0;     ///< Start time, ticks of the object's time system.
   int64_t duration = 0;  ///< Duration in ticks.
-  Bytes payload;
+  BufferSlice payload;
 };
 
 /// OPEN response body.

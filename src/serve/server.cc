@@ -675,10 +675,23 @@ void MediaServer::RunRead(uint64_t conn_id, uint64_t stream_id,
       response.read = std::move(*batch);
     }
   }
-  reactor_.Post(
-      [this, conn_id, stream_id, response = std::move(response), received_ns] {
-        FinishRead(conn_id, stream_id, response, received_ns);
-      });
+  OutFrame frame;
+  frame.received_ns = received_ns;
+  if (response.status.ok()) {
+    // Encoded here, not on the loop thread, so the batch's payload
+    // slices (and the chunks they pin) are released before the
+    // completion is posted.
+    Bytes payload = EncodeResponse(response);
+    frame.payload_bytes = payload.size();
+    frame.wire = EncodeFrame(FrameHeader{.stream_id = stream_id}, payload);
+    frame.stride = response.read.stride;
+    frame.end_of_stream = response.read.end_of_stream;
+    response.read = ReadBatch{};
+  }
+  reactor_.Post([this, conn_id, stream_id, response = std::move(response),
+                 frame = std::move(frame)]() mutable {
+    FinishRead(conn_id, stream_id, std::move(response), std::move(frame));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +739,7 @@ void MediaServer::FinishOpen(uint64_t conn_id, uint64_t stream_id,
 }
 
 void MediaServer::FinishRead(uint64_t conn_id, uint64_t stream_id,
-                             Response response, int64_t received_ns) {
+                             Response response, OutFrame frame) {
   auto conn_it = connections_.find(conn_id);
   if (conn_it == connections_.end()) return;
   Connection* conn = conn_it->second.get();
@@ -742,9 +755,9 @@ void MediaServer::FinishRead(uint64_t conn_id, uint64_t stream_id,
     DegradeStream(stream);
   }
   if (!response.status.ok()) {
-    EnqueueControl(conn, stream->id, response, received_ns);
+    EnqueueControl(conn, stream->id, response, frame.received_ns);
   } else {
-    EnqueueData(conn, stream, response, received_ns);
+    EnqueueData(conn, stream, std::move(frame));
   }
   DrainPending(conn, stream);
   PumpWrites(conn);
@@ -770,16 +783,8 @@ void MediaServer::EnqueueControl(Connection* conn, uint64_t stream_id,
 }
 
 void MediaServer::EnqueueData(Connection* conn, Stream* stream,
-                              const Response& response, int64_t received_ns) {
-  Bytes payload = EncodeResponse(response);
-  FrameHeader header;
-  header.stream_id = stream->id;
-  OutFrame frame;
-  frame.payload_bytes = payload.size();
-  frame.wire = EncodeFrame(header, payload);
-  frame.received_ns = received_ns;
-  frame.stride = response.read.stride;
-  frame.end_of_stream = response.read.end_of_stream;
+                              OutFrame frame) {
+  const int64_t received_ns = frame.received_ns;
   stream->data_frames.push_back(std::move(frame));
   EnterRoundRobin(conn, stream);
   ServeMetrics::Get().request_us->Record(ElapsedUsSince(received_ns));

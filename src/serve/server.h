@@ -248,12 +248,13 @@ class MediaServer {
   void FinishOpen(uint64_t conn_id, uint64_t stream_id, Response response,
                   std::shared_ptr<Session> session, std::string admission_key,
                   int64_t received_ns);
+  /// `frame` holds the encoded READ response when `response` is OK
+  /// (the worker encoded it); otherwise only its receipt time is set.
   void FinishRead(uint64_t conn_id, uint64_t stream_id, Response response,
-                  int64_t received_ns);
+                  OutFrame frame);
   void EnqueueControl(Connection* conn, uint64_t stream_id,
                       const Response& response, int64_t received_ns);
-  void EnqueueData(Connection* conn, Stream* stream, const Response& response,
-                   int64_t received_ns);
+  void EnqueueData(Connection* conn, Stream* stream, OutFrame frame);
   /// Moves the stream's front data frame into the writer if window
   /// and budget allow. True when a frame moved.
   bool TrySendData(Connection* conn, Stream* stream);

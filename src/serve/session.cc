@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "base/macros.h"
-#include "blob/read_policy.h"
 #include "obs/metrics.h"
 
 namespace tbm::serve {
@@ -14,35 +13,23 @@ Result<std::unique_ptr<Session>> Session::Create(
     uint64_t id, std::string object_name, const BlobStore* store,
     const Interpretation& interpretation, const std::string& stream_name,
     Config config) {
-  TBM_ASSIGN_OR_RETURN(const InterpretedObject* object,
-                       interpretation.FindObject(stream_name));
-  if (config.stride == 0) {
-    return Status::InvalidArgument("stride must be >= 1");
-  }
-  auto session = std::unique_ptr<Session>(
-      new Session(id, std::move(object_name), store, interpretation.blob(),
-                  *object, config));
-  if (config.stride == 1) {
-    // Full fidelity: sequential chunked streaming with readahead.
-    TBM_ASSIGN_OR_RETURN(
-        session->stream_,
-        ElementStream::Open(*store, interpretation, stream_name,
-                            config.read_options));
-  }
-  return session;
+  TBM_ASSIGN_OR_RETURN(
+      std::unique_ptr<ElementStream> stream,
+      ElementStream::Open(*store, interpretation, stream_name,
+                          config.read_options, /*span=*/{},
+                          ElementSelection{.stride = config.stride}));
+  return std::unique_ptr<Session>(
+      new Session(id, std::move(object_name), std::move(stream), config));
 }
 
-Session::Session(uint64_t id, std::string object_name, const BlobStore* store,
-                 BlobId blob, InterpretedObject object, Config config)
+Session::Session(uint64_t id, std::string object_name,
+                 std::unique_ptr<ElementStream> stream, Config config)
     : id_(id),
       object_name_(std::move(object_name)),
-      store_(store),
-      blob_(blob),
-      object_(std::move(object)),
       config_(config),
-      stride_(config.stride),
       degraded_(config.stride > 1),
-      booked_(config.booked_bytes_per_second) {
+      booked_(config.booked_bytes_per_second),
+      stream_(std::move(stream)) {
   if (config_.stream_id != 0 || config_.connection_id != 0) {
     flight_.set_label("conn " + std::to_string(config_.connection_id) +
                       " stream " + std::to_string(config_.stream_id) +
@@ -51,7 +38,7 @@ Session::Session(uint64_t id, std::string object_name, const BlobStore* store,
     flight_.set_label("session " + std::to_string(id_) + " " + object_name_);
   }
   flight_.Record(obs::FlightEventType::kAdmit,
-                 degraded_ ? "admitted degraded" : "admitted", stride_,
+                 degraded_ ? "admitted degraded" : "admitted", stride(),
                  static_cast<uint64_t>(booked_));
 }
 
@@ -62,86 +49,64 @@ void Session::AdoptTrace(uint64_t trace_id) {
                  trace_id);
 }
 
-Result<Bytes> Session::ReadElementBytes(uint64_t index) {
-  // In TBM_OBS_DISABLED builds NowTicksNs() is inline 0 and Record()
-  // a no-op, so this timing folds away entirely.
-  int64_t start_ns = obs::NowTicksNs();
-  auto finish_timing = [&](bool ok) {
-    uint64_t elapsed_us =
-        static_cast<uint64_t>(
-            std::max<int64_t>(0, obs::NowTicksNs() - start_ns)) /
-        1000;
-    if (!ok) {
-      flight_.Record(obs::FlightEventType::kFault,
-                     "element read failed after retries", index, elapsed_us);
-    } else if (config_.slow_read_us != 0 && elapsed_us > config_.slow_read_us) {
-      flight_.Record(obs::FlightEventType::kSlowRead,
-                     "element read over threshold", index, elapsed_us);
-    }
-  };
-  // The element stream delivers strictly sequentially; use it while we
-  // are aligned with it (stride-1 sessions that never sought).
-  if (stream_ != nullptr && stream_->position() == index) {
-    auto element = stream_->Next();
-    finish_timing(element.ok());
-    if (!element.ok()) return element.status();
-    return Bytes(element->data.begin(), element->data.end());
-  }
-  const ElementPlacement& placement =
-      object_.elements[static_cast<size_t>(index)];
-  auto slice = ReadWithPolicy(*store_, blob_, placement.placement,
-                              config_.read_options.policy);
-  finish_timing(slice.ok());
-  if (!slice.ok()) return slice.status();
-  return Bytes(slice->begin(), slice->end());
-}
-
 Result<ReadBatch> Session::ReadNext(uint64_t max_elements) {
   if (Terminal()) {
     return Status::FailedPrecondition(
         "session is " + std::string(SessionStateToString(state())));
   }
   if (state() != SessionState::kStreaming) {
-    flight_.Record(obs::FlightEventType::kState, "STREAMING", position_);
+    flight_.Record(obs::FlightEventType::kState, "STREAMING",
+                   stream_->position());
   }
   state_.store(SessionState::kStreaming, std::memory_order_release);
 
   ReadBatch batch;
-  batch.stride = stride_;
+  batch.stride = stride();
   if (max_elements == 0) max_elements = 1;
   uint64_t batch_bytes = 0;
-  while (batch.elements.size() < max_elements &&
-         position_ < object_.elements.size()) {
+  while (batch.elements.size() < max_elements && !stream_->Done()) {
+    const uint64_t index = stream_->position();
     const ElementPlacement& placement =
-        object_.elements[static_cast<size_t>(position_)];
+        stream_->object().elements[static_cast<size_t>(index)];
     if (!batch.elements.empty() &&
         batch_bytes + placement.placement.length > config_.response_byte_cap) {
       break;  // Keep each response frame (and its send latency) bounded.
     }
-    auto bytes = ReadElementBytes(position_);
-    if (bytes.ok()) {
-      WireElement element;
-      element.element_number = static_cast<uint64_t>(placement.element_number);
-      element.start = placement.start;
-      element.duration = placement.duration;
-      element.payload = std::move(*bytes);
-      batch_bytes += element.payload.size();
-      bytes_sent_ += element.payload.size();
-      ++delivered_;
-      batch.elements.push_back(std::move(element));
-    } else {
+    // In TBM_OBS_DISABLED builds NowTicksNs() is inline 0 and Record()
+    // a no-op, so this timing folds away entirely.
+    const int64_t start_ns = obs::NowTicksNs();
+    Result<StreamElement> element = stream_->Next();
+    const uint64_t elapsed_us =
+        static_cast<uint64_t>(
+            std::max<int64_t>(0, obs::NowTicksNs() - start_ns)) /
+        1000;
+    if (!element.ok()) {
       // A read that failed after every retry costs the element, not
       // the session: skip it and finish DEGRADED.
+      flight_.Record(obs::FlightEventType::kFault,
+                     "element read failed after retries", index, elapsed_us);
       ++skipped_;
       degraded_ = true;
+      continue;
     }
-    position_ += stride_;
+    if (config_.slow_read_us != 0 && elapsed_us > config_.slow_read_us) {
+      flight_.Record(obs::FlightEventType::kSlowRead,
+                     "element read over threshold", index, elapsed_us);
+    }
+    WireElement wire;
+    wire.element_number = static_cast<uint64_t>(placement.element_number);
+    wire.start = placement.start;
+    wire.duration = placement.duration;
+    wire.payload = std::move(element->data);
+    batch_bytes += wire.payload.size();
+    bytes_sent_ += wire.payload.size();
+    ++delivered_;
+    batch.elements.push_back(std::move(wire));
   }
-  if (position_ >= object_.elements.size()) {
+  if (stream_->Done()) {
     batch.end_of_stream = true;
     Finish();
   }
-  batch.stride = stride_;
   return batch;
 }
 
@@ -150,39 +115,39 @@ Result<uint64_t> Session::SeekTo(uint64_t element) {
     return Status::FailedPrecondition(
         "session is " + std::string(SessionStateToString(state())));
   }
-  if (element >= object_.elements.size()) {
-    return Status::OutOfRange(
-        "seek to element " + std::to_string(element) + " of " +
-        std::to_string(object_.elements.size()));
+  if (element >= stream_->size()) {
+    return Status::OutOfRange("seek to element " + std::to_string(element) +
+                              " of " + std::to_string(stream_->size()));
   }
-  position_ = element;
-  stream_.reset();  // The chunk window is sequential; a seek leaves it.
+  TBM_RETURN_IF_ERROR(stream_->Reposition(
+      {.first = static_cast<size_t>(element), .stride = stride()}));
   flight_.Record(obs::FlightEventType::kSeek, "seek", element);
   state_.store(SessionState::kStreaming, std::memory_order_release);
-  return position_;
+  return element;
 }
 
 void Session::Degrade() {
   if (Terminal()) return;
-  uint64_t old_stride = stride_;
-  stride_ *= 2;
+  const uint32_t old_stride = stride();
+  // Cannot fail: the doubled stride is >= 2.
+  (void)stream_->Reposition(
+      {.first = stream_->position(), .stride = old_stride * 2});
   degraded_ = true;
-  stream_.reset();  // Strided delivery reads placements directly.
   flight_.Record(obs::FlightEventType::kDegrade, "stride doubled", old_stride,
-                 stride_);
+                 stride());
 }
 
 void Session::MarkEvicted(const char* cause) {
   flight_.Record(obs::FlightEventType::kEvict,
                  cause != nullptr ? cause : "server-initiated eviction",
-                 position_);
+                 stream_->position());
   state_.store(SessionState::kEvicted, std::memory_order_release);
 }
 
 void Session::MarkClosed() {
   if (Terminal()) return;
   flight_.Record(obs::FlightEventType::kNote, "client closed early",
-                 position_);
+                 stream_->position());
   Finish();
 }
 
@@ -201,7 +166,7 @@ std::string Session::DumpFlight(std::string_view cause) const {
                 (unsigned long long)id_,
                 (unsigned long long)config_.connection_id,
                 (unsigned long long)config_.stream_id, object_name_.c_str(),
-                std::string(SessionStateToString(state())).c_str(), stride_,
+                std::string(SessionStateToString(state())).c_str(), stride(),
                 (unsigned long long)trace_id_);
   std::string dump = flight_.Dump(cause);
   if (dump.empty()) return dump;  // TBM_OBS_DISABLED: nothing recorded.
@@ -214,7 +179,7 @@ SessionStatsWire Session::StatsWire() const {
   stats.elements_delivered = delivered_;
   stats.elements_skipped = skipped_;
   stats.bytes_sent = bytes_sent_;
-  stats.stride = stride_;
+  stats.stride = stride();
   return stats;
 }
 

@@ -19,17 +19,17 @@ namespace tbm::serve {
 ///   OPEN -> ADMITTED -> STREAMING -> { DONE, DEGRADED, EVICTED }
 ///
 /// A session is created only after admission control books its rate
-/// (so OPEN -> ADMITTED happens at construction) and owns the read
-/// machinery for one interpreted object:
-///
-/// - At full fidelity (stride 1) it streams through an ElementStream —
-///   chunked reads with asynchronous readahead on the server's I/O
-///   pool, the retry policy absorbing transient store faults.
-/// - Degraded (stride 2^k) or after a SEEK it switches to direct
-///   placement reads of just the elements it will deliver: a strided
-///   session genuinely reads ~1/stride of the bytes, which is what
-///   makes degradation a real capacity lever rather than an
-///   accounting fiction.
+/// (so OPEN -> ADMITTED happens at construction) and reads its one
+/// interpreted object through one ElementStream, whatever its stride
+/// and however it got to its position: chunked reads with asynchronous
+/// readahead on the server's I/O pool, the retry policy absorbing
+/// transient store faults. A SEEK or a degrade repositions the stream
+/// (a new start element, or a doubled stride), which drops its chunk
+/// window; the stream then reads only the chunks its selected elements
+/// touch. Degrading halves the bytes sent; the bytes read fall with the
+/// stride only once the selected elements are more than a chunk apart.
+/// Below that, a strided session still reads every chunk, in fewer and
+/// larger reads than one read per element (DESIGN.md §11 measures it).
 ///
 /// An element read that still fails after retries is skipped, not
 /// fatal — the session completes with `elements_skipped` > 0 and ends
@@ -50,9 +50,9 @@ class Session {
     uint64_t stream_id = 0;
     /// Byte cap per READ batch (bounds frame size and send latency).
     uint64_t response_byte_cap = 4ull << 20;
-    /// Read options for the element stream / direct reads. `pool`
-    /// should be the server's I/O pool (not its worker pool — handler
-    /// tasks block on reads, so sharing one pool would deadlock).
+    /// Read options for the session's element stream. `pool` should be
+    /// the server's I/O pool (not its worker pool — handler tasks block
+    /// on reads, so sharing one pool would deadlock).
     StreamReadOptions read_options;
     /// An element read slower than this lands in the flight recorder
     /// as a SLOW_READ event (0 disables the check).
@@ -60,7 +60,8 @@ class Session {
   };
 
   /// Opens a session on `interpretation`'s object `stream_name`.
-  /// `store` must outlive the session; the placement table is copied.
+  /// `store` must outlive the session; the session's element stream
+  /// copies the placement table.
   static Result<std::unique_ptr<Session>> Create(
       uint64_t id, std::string object_name, const BlobStore* store,
       const Interpretation& interpretation, const std::string& stream_name,
@@ -73,14 +74,13 @@ class Session {
   SessionState state() const {
     return state_.load(std::memory_order_acquire);
   }
-  uint32_t stride() const { return stride_; }
+  uint32_t stride() const { return stream_->stride(); }
   bool degraded() const { return degraded_; }
   double booked_bytes_per_second() const { return booked_; }
   void set_booked_bytes_per_second(double rate) { booked_ = rate; }
 
-  uint64_t element_count() const { return object_.elements.size(); }
-  uint64_t payload_bytes() const { return object_.PayloadBytes(); }
-  const InterpretedObject& object() const { return object_; }
+  uint64_t element_count() const { return stream_->size(); }
+  uint64_t payload_bytes() const { return stream_->object().PayloadBytes(); }
 
   /// Adopts the client's trace id (from OPEN's trace context), so the
   /// session's flight-recorder dumps can name the trace to pull up in
@@ -104,13 +104,13 @@ class Session {
   /// Returns FailedPrecondition once the session is terminal.
   Result<ReadBatch> ReadNext(uint64_t max_elements);
 
-  /// Repositions to `element` (OutOfRange past the end) and switches
-  /// to direct reads — a seek abandons the sequential chunk window.
+  /// Repositions the element stream to `element` (OutOfRange past the
+  /// end), keeping the stride.
   Result<uint64_t> SeekTo(uint64_t element);
 
-  /// Halves the session's fidelity: doubles the stride and drops to
-  /// direct reads. The caller re-books the admission ledger. The
-  /// session will finish DEGRADED.
+  /// Halves the session's fidelity: repositions the element stream at
+  /// the current element with a doubled stride. The caller re-books the
+  /// admission ledger. The session will finish DEGRADED.
   void Degrade();
 
   /// Terminal transition for server-initiated removal (slow client,
@@ -125,8 +125,8 @@ class Session {
   SessionStatsWire StatsWire() const;
 
  private:
-  Session(uint64_t id, std::string object_name, const BlobStore* store,
-          BlobId blob, InterpretedObject object, Config config);
+  Session(uint64_t id, std::string object_name,
+          std::unique_ptr<ElementStream> stream, Config config);
 
   bool Terminal() const {
     SessionState s = state();
@@ -134,34 +134,24 @@ class Session {
            s == SessionState::kEvicted;
   }
 
-  /// Reads element `index` bytes: from the element stream when it is
-  /// aligned with the stream position, by direct placement read
-  /// otherwise.
-  Result<Bytes> ReadElementBytes(uint64_t index);
-
   /// Moves to the terminal completed state (DONE, or DEGRADED when
   /// fidelity was reduced or elements were skipped).
   void Finish();
 
   const uint64_t id_;
   const std::string object_name_;
-  const BlobStore* store_;
-  const BlobId blob_;
-  const InterpretedObject object_;
   Config config_;
 
   std::atomic<SessionState> state_{SessionState::kAdmitted};
-  uint32_t stride_;
   bool degraded_ = false;
   double booked_ = 0.0;
   uint64_t trace_id_ = 0;
   obs::FlightRecorder flight_;
 
-  /// Sequential chunked reader; non-null only while the session is at
-  /// stride 1 and has not sought.
-  std::unique_ptr<ElementStream> stream_;
+  /// The session's only reader; its position() is the next element to
+  /// deliver and its stride() the session's.
+  const std::unique_ptr<ElementStream> stream_;
 
-  uint64_t position_ = 0;  ///< Next element number to deliver.
   uint64_t delivered_ = 0;
   uint64_t skipped_ = 0;
   uint64_t bytes_sent_ = 0;

@@ -247,58 +247,6 @@ TEST(ActivityTest, TransformAppliesPerElement) {
   EXPECT_EQ(out->at(3).data[0], 2);
 }
 
-TEST(ActivityTest, ParallelTransformMatchesSerial) {
-  TimedStream stream = BlockStream(10, 5, 3);
-  auto transform = [](StreamElement element) -> Result<StreamElement> {
-    Bytes doubled = element.data.MutableCopy();
-    for (uint8_t& byte : doubled) byte *= 2;
-    element.data = std::move(doubled);
-    return element;
-  };
-  auto serial = std::make_unique<TransformActivity>(
-      std::make_unique<StreamSource>(&stream), transform);
-  auto expected = RunToStream(serial.get());
-  ASSERT_TRUE(expected.ok());
-
-  // window=4 over 10 elements exercises full and partial windows.
-  ParallelTransformActivity parallel(std::make_unique<StreamSource>(&stream),
-                                     transform, /*threads=*/3, /*window=*/4);
-  auto out = RunToStream(&parallel);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), expected->size());
-  for (size_t i = 0; i < out->size(); ++i) {
-    EXPECT_EQ(out->at(i).start, expected->at(i).start) << i;
-    EXPECT_EQ(out->at(i).data, expected->at(i).data) << i;
-  }
-  // Exhausted like any activity.
-  EXPECT_TRUE(parallel.Next().status().IsNotFound());
-}
-
-TEST(ActivityTest, ParallelTransformErrorsAbortFlow) {
-  TimedStream stream = BlockStream(8, 5, 1);
-  ParallelTransformActivity failing(
-      std::make_unique<StreamSource>(&stream),
-      [](StreamElement element) -> Result<StreamElement> {
-        if (element.start >= 20) return Status::Corruption("boom");
-        return element;
-      },
-      /*threads=*/2, /*window=*/3);
-  // Elements before the failing one still flow, then the error sticks.
-  int delivered = 0;
-  Status final_status;
-  while (true) {
-    auto element = failing.Next();
-    if (!element.ok()) {
-      final_status = element.status();
-      break;
-    }
-    ++delivered;
-  }
-  EXPECT_TRUE(final_status.IsCorruption()) << final_status;
-  EXPECT_EQ(delivered, 4);  // starts 0, 5, 10, 15.
-  EXPECT_TRUE(failing.Next().status().IsCorruption());
-}
-
 TEST(ActivityTest, TransformErrorsAbortFlow) {
   TimedStream stream = BlockStream(5, 5, 1);
   TransformActivity failing(

@@ -41,18 +41,10 @@ Bytes ElementPayload(int index) {
   return bytes;
 }
 
-// Builds an in-memory database holding one media object "clip" of
+// Builds a database over `store` holding one media object "clip" of
 // kElements elements (kElementBytes each, 1 tick apart at 10 ticks/s:
-// an average rate of 10 000 bytes/s). With `read_fault_rate` > 0 the
-// BLOB store is wrapped in a FaultInjectingStore.
-std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
-  std::unique_ptr<BlobStore> store = std::make_unique<MemoryBlobStore>();
-  if (read_fault_rate > 0.0) {
-    FaultConfig faults;
-    faults.read_fault_rate = read_fault_rate;
-    faults.seed = 11;
-    store = std::make_unique<FaultInjectingStore>(std::move(store), faults);
-  }
+// an average rate of 10 000 bytes/s).
+std::unique_ptr<MediaDatabase> BuildServeDbOn(std::unique_ptr<BlobStore> store) {
   auto db = MediaDatabase::CreateWithStore(std::move(store));
   auto capture = CaptureSession::Begin(db->blob_store());
   EXPECT_TRUE(capture.ok());
@@ -70,6 +62,19 @@ std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
   EXPECT_TRUE(interp_id.ok());
   EXPECT_TRUE(db->AddMediaObject("clip", *interp_id, "clip").ok());
   return db;
+}
+
+// BuildServeDbOn over an in-memory store. With `read_fault_rate` > 0 the
+// store is wrapped in a FaultInjectingStore.
+std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
+  std::unique_ptr<BlobStore> store = std::make_unique<MemoryBlobStore>();
+  if (read_fault_rate > 0.0) {
+    FaultConfig faults;
+    faults.read_fault_rate = read_fault_rate;
+    faults.seed = 11;
+    store = std::make_unique<FaultInjectingStore>(std::move(store), faults);
+  }
+  return BuildServeDbOn(std::move(store));
 }
 
 // The stream id the raw-frame tests address every request to.
@@ -406,6 +411,67 @@ TEST(ServeSessionTest, StridedSessionSkipsAndFinishesDegraded) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ((*session)->SeekTo(0).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// One session, one reader: a stride-1 read, a seek and a degrade all go
+// through the session's element stream, which reads whole chunks (here
+// 4 elements each) over a store with scripted transient faults. An
+// element whose chunk and fallback reads both fail after the retry is
+// skipped and counted; every other element arrives bit-exact.
+TEST(ServeSessionTest, SeekAndDegradeStreamThroughFaults) {
+  auto store =
+      std::make_unique<FaultInjectingStore>(std::make_unique<MemoryBlobStore>());
+  FaultInjectingStore* faults = store.get();
+  auto db = BuildServeDbOn(std::move(store));
+  auto entry = db->Get(*db->FindByName("clip_interp"));
+  ASSERT_TRUE(entry.ok());
+  Session::Config config;
+  config.read_options.chunk_size = 4 * kElementBytes;
+  config.read_options.policy.max_retries = 1;
+  config.read_options.policy.backoff_initial_us = 0;
+  auto session = Session::Create(3, "clip", db->blob_store(),
+                                 (*entry)->interpretation, "clip", config);
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  std::vector<uint64_t> delivered;
+  auto read = [&](uint64_t max_elements) {
+    auto batch = (*session)->ReadNext(max_elements);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    for (const WireElement& element : batch->elements) {
+      EXPECT_EQ(element.payload,
+                ElementPayload(static_cast<int>(element.element_number)))
+          << "element " << element.element_number;
+      delivered.push_back(element.element_number);
+    }
+  };
+  const uint64_t reads_before = faults->reads_seen();
+  // Elements 0..3 from chunk 0, whose first read fails and is retried.
+  faults->FailNextReads(1);
+  read(4);
+  EXPECT_EQ(faults->reads_seen() - reads_before, 2u);
+
+  // 12..14 from chunk 3, after a seek.
+  ASSERT_TRUE((*session)->SeekTo(12).ok());
+  read(3);
+  EXPECT_EQ(faults->reads_seen() - reads_before, 3u);
+
+  // Stride 2 from element 15: chunks 3..7. Chunk 3 fails twice, then so
+  // does element 15's fallback read, so 15 is skipped; 17..31 stream
+  // from chunks 4..7.
+  (*session)->Degrade();
+  EXPECT_EQ((*session)->stride(), 2u);
+  faults->FailNextReads(4);
+  while ((*session)->state() == SessionState::kStreaming) read(4);
+  EXPECT_EQ(faults->reads_seen() - reads_before, 3u + 4u + 4u);
+
+  std::vector<uint64_t> want = {0, 1, 2, 3, 12, 13, 14};
+  for (uint64_t e = 17; e < kElements; e += 2) want.push_back(e);
+  EXPECT_EQ(delivered, want);
+  SessionStatsWire stats = (*session)->StatsWire();
+  EXPECT_EQ(stats.elements_delivered, want.size());
+  EXPECT_EQ(stats.elements_skipped, 1u);
+  EXPECT_EQ(stats.state, SessionState::kDegraded);
+  EXPECT_EQ(stats.stride, 2u);
 }
 
 TEST(ServeSessionTest, SeekOutOfRangeAndEviction) {

@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <numeric>
 #include <thread>
 
 #include "base/thread_pool.h"
@@ -293,6 +294,13 @@ TEST(ReadPolicyTest, TimeoutBoundsTotalRetryBudget) {
 
 class PrefetcherTest : public ::testing::Test {};
 
+// Every chunk of `reader`, in order: the plan of a whole-BLOB read.
+std::vector<uint64_t> AllChunks(const ChunkReader& reader) {
+  std::vector<uint64_t> chunks(reader.chunk_count());
+  std::iota(chunks.begin(), chunks.end(), 0);
+  return chunks;
+}
+
 TEST(PrefetcherTest, DeliversIdenticalBytesAcrossDepths) {
   MemoryBlobStore store;
   Bytes data = Pattern(40'000, 3);
@@ -307,8 +315,10 @@ TEST(PrefetcherTest, DeliversIdenticalBytesAcrossDepths) {
     ASSERT_TRUE(reader.ok());
     PrefetchOptions options;
     options.depth = depth;
+    std::vector<uint64_t> chunks = AllChunks(**reader);
     AsyncPrefetcher prefetcher(std::move(*reader),
-                               depth == 0 ? nullptr : &pool, options);
+                               depth == 0 ? nullptr : &pool, options,
+                               std::move(chunks));
     Bytes joined;
     while (!prefetcher.Done()) {
       auto chunk = prefetcher.Next();
@@ -317,7 +327,7 @@ TEST(PrefetcherTest, DeliversIdenticalBytesAcrossDepths) {
     }
     EXPECT_EQ(joined, data) << "depth=" << depth;
     PrefetchStats stats = prefetcher.stats();
-    EXPECT_EQ(stats.chunks_delivered, prefetcher.chunk_count());
+    EXPECT_EQ(stats.chunks_delivered, prefetcher.chunks().size());
     EXPECT_EQ(stats.bytes_delivered, data.size());
     EXPECT_EQ(stats.read_errors, 0u);
     EXPECT_TRUE(prefetcher.Next().status().IsOutOfRange());
@@ -338,7 +348,9 @@ TEST(PrefetcherTest, TightByteBudgetStillCompletes) {
   PrefetchOptions options;
   options.depth = 8;
   options.max_inflight_bytes = 1;  // Every chunk exceeds the budget.
-  AsyncPrefetcher prefetcher(std::move(*reader), &pool, options);
+  std::vector<uint64_t> chunks = AllChunks(**reader);
+  AsyncPrefetcher prefetcher(std::move(*reader), &pool, options,
+                             std::move(chunks));
   Bytes joined;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
@@ -361,7 +373,9 @@ TEST(PrefetcherTest, ReadErrorsSurfacePerChunk) {
   fault->FailNextReads(1);
 
   // Synchronous mode so exactly the first chunk read hits the fault.
-  AsyncPrefetcher prefetcher(std::move(*reader), nullptr, {});
+  std::vector<uint64_t> chunks = AllChunks(**reader);
+  AsyncPrefetcher prefetcher(std::move(*reader), nullptr, {},
+                             std::move(chunks));
   int failures = 0, successes = 0;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
@@ -506,6 +520,66 @@ TEST(StreamingReadRangeTest, TailSpanReadsOnlyTailChunks) {
   }
 }
 
+TEST(StreamingReadRangeTest, MidBlobSpanReadsOnlyItsChunks) {
+  FaultInjectingStore store(std::make_unique<MemoryBlobStore>());
+  Interpretation interp = ContiguousInterp(store.inner(), 200, 100, nullptr);
+  // Elements 50..59 = bytes [5000, 6000), which 256-byte chunks 19..23
+  // cover. Readahead stops there, 176 chunks before the BLOB ends.
+  const TickSpan middle{50, 10};
+  TimedStream want = ReadElementLoop(store, interp, "v", 50, 10);
+
+  ThreadPool pool(2);
+  for (int depth : {0, 4}) {
+    StreamReadOptions options;
+    options.chunk_size = 256;
+    options.prefetch_depth = depth;
+    options.pool = depth == 0 ? nullptr : &pool;
+    const uint64_t before = store.reads_seen();
+    auto got = MaterializeStreamed(store, interp, "v", options, middle);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(store.reads_seen() - before, 5u) << "depth " << depth;
+    ExpectSameElements(*got, want);
+  }
+}
+
+TEST(StreamingReadRangeTest, StrideOverLargeElementsSkipsUnselectedChunks) {
+  FaultInjectingStore store(std::make_unique<MemoryBlobStore>());
+  // 32 elements of 1024 bytes: each fills exactly four 256-byte chunks.
+  Interpretation interp = ContiguousInterp(store.inner(), 32, 1024, nullptr);
+
+  ThreadPool pool(2);
+  for (int depth : {0, 4}) {
+    StreamReadOptions options;
+    options.chunk_size = 256;
+    options.prefetch_depth = depth;
+    options.pool = depth == 0 ? nullptr : &pool;
+    const uint64_t before = store.reads_seen();
+    auto stream = ElementStream::Open(store, interp, "v", options, {},
+                                      ElementSelection{.first = 1, .stride = 4});
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    std::vector<size_t> got;
+    while (!(*stream)->Done()) {
+      const size_t index = (*stream)->position();
+      auto element = (*stream)->Next();
+      ASSERT_TRUE(element.ok()) << element.status();
+      auto want = interp.ReadElement(*store.inner(), "v",
+                                     static_cast<int64_t>(index));
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(element->data, want->data) << "element " << index;
+      EXPECT_EQ(element->start, want->start);
+      got.push_back(index);
+    }
+    EXPECT_EQ(got, (std::vector<size_t>{1, 5, 9, 13, 17, 21, 25, 29}));
+    // 8 selected elements x 4 chunks; the other 96 chunks are never read.
+    EXPECT_EQ(store.reads_seen() - before, 32u) << "depth " << depth;
+    EXPECT_EQ((*stream)->stats().fallback_element_reads, 0u);
+  }
+  EXPECT_TRUE(ElementStream::Open(store, interp, "v", {}, {},
+                                  ElementSelection{.stride = 0})
+                  .status()
+                  .IsInvalidArgument());
+}
+
 TEST(StreamingReadRangeTest, SecondObjectSkipsFirstObjectsBytes) {
   // Two objects back to back in one BLOB: "a" holds bytes [0, 5000),
   // "b" bytes [5000, 8000).
@@ -592,30 +666,6 @@ TEST(StreamingFaultTest, ZeroAbortsAtFivePercentFaultRate) {
       << "fault injection never fired; the test is vacuous";
   ASSERT_EQ(report->read_stats.size(), 1u);
   EXPECT_EQ(report->read_stats[0].elements_delivered, 100u);
-}
-
-TEST(StreamingTest, PlayStreamedAdmittedBooksAndReleases) {
-  MemoryBlobStore store;
-  Interpretation interp = ContiguousInterp(&store, 25, 4000, nullptr);
-
-  const InterpretedObject* object = *interp.FindObject("v");
-  RateProfile profile = MeasureRateProfileFromPlacements(*object);
-  EXPECT_GT(profile.average_bytes_per_second, 0.0);
-  EXPECT_GE(profile.peak_bytes_per_second, profile.average_bytes_per_second);
-
-  AdmissionController controller(profile.peak_bytes_per_second * 2,
-                                 AdmissionController::Policy::kPeakRate);
-  auto report = PlayStreamedAdmitted(&controller, "s1", store, interp, {"v"},
-                                     PlaybackConfig{}, StreamReadOptions{});
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(controller.session_count(), 0u);  // Booking released.
-
-  AdmissionController tiny(profile.peak_bytes_per_second / 2,
-                           AdmissionController::Policy::kPeakRate);
-  auto rejected = PlayStreamedAdmitted(&tiny, "s2", store, interp, {"v"},
-                                       PlaybackConfig{}, StreamReadOptions{});
-  EXPECT_TRUE(rejected.status().IsResourceExhausted());
-  EXPECT_EQ(tiny.session_count(), 0u);  // No residue after rejection.
 }
 
 // ---------------------------------------------------------------------------
