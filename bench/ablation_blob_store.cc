@@ -96,7 +96,7 @@ BlobId PushInSpans(BlobStore* store, const Bytes& data, size_t span) {
 /// byte is touched whether the store copies or maps it.
 void ReadChunked(const BlobStore& store, BlobId id, uint32_t chunk_size,
                  Bytes* out) {
-  ChunkReaderOptions options;
+  StreamReadOptions options;
   options.chunk_size = chunk_size;
   auto reader = ValueOrDie(store.OpenChunkReader(id, options), "open reader");
   out->clear();

@@ -4,9 +4,9 @@
 // on one thread) in two shapes:
 //
 //   multiplexed          16 connections x 64 streams each — the v2
-//                        protocol's intended shape; per-stream QoS
-//                        priorities exercise the priority write
-//                        scheduler on every connection.
+//                        protocol's intended shape; each connection's
+//                        write scheduler round-robins over its 64
+//                        streams.
 //   connection-per-stream 1024 connections x 1 stream — the shape a
 //                        pre-multiplexing client forces, priced by
 //                        per-connection state and client pump threads.
@@ -20,8 +20,8 @@
 // budget, and a flow-control-stalled stream must be evicted while its
 // siblings stream on.
 //
-// Prints a JSON object with per-QoS-priority p50/p99 client-observed
-// READ latency for both shapes; `-o <file>` also writes it to a file
+// Prints a JSON object with p50/p99 client-observed READ latency for
+// both shapes; `-o <file>` also writes it to a file
 // (the committed BENCH_reactor.json at the repo root is one such run).
 // Exits 1 on any acceptance violation.
 #include <algorithm>
@@ -58,11 +58,6 @@ constexpr int kReadBatch = 4;
 
 // One element per tick at 10 ticks/s: the clip's average rate.
 constexpr double kClipRate = kElementBytes * 10.0;
-
-// Streams rotate through three scheduler priorities: interactive (0),
-// standard (4), background (7).
-constexpr uint8_t kPriorities[] = {0, 4, 7};
-constexpr int kQosClasses = 3;
 
 Bytes ElementPayload(int index) {
   Bytes bytes(kElementBytes);
@@ -126,18 +121,10 @@ struct ShapeResult {
   int payload_mismatches = 0;
   int completed = 0;
   double wall_ms = 0.0;
-  std::vector<double> latencies_us[kQosClasses];  // Sorted after the run.
+  std::vector<double> latencies_us;  // Sorted after the run.
 
-  double p50(int qos) { return Percentile(latencies_us[qos], 0.50); }
-  double p99(int qos) { return Percentile(latencies_us[qos], 0.99); }
-  std::vector<double> all() const {
-    std::vector<double> merged;
-    for (const auto& per_qos : latencies_us) {
-      merged.insert(merged.end(), per_qos.begin(), per_qos.end());
-    }
-    std::sort(merged.begin(), merged.end());
-    return merged;
-  }
+  double p50() { return Percentile(latencies_us, 0.50); }
+  double p99() { return Percentile(latencies_us, 0.99); }
 };
 
 // Runs 1024 streams spread over `connection_count` connections:
@@ -176,7 +163,6 @@ ShapeResult RunShape(MediaDatabase* db, int connection_count,
     drivers.emplace_back([&, d] {
       struct Driver {
         std::unique_ptr<serve::StreamHandle> stream;
-        int qos_class = 0;
         uint64_t next_expected = 0;
         bool done = false;
       };
@@ -187,14 +173,11 @@ ShapeResult RunShape(MediaDatabase* db, int connection_count,
         serve::Connection* connection =
             connections[static_cast<size_t>(global / streams_per_connection)]
                 .get();
-        serve::StreamQos qos;
-        qos.priority = kPriorities[global % kQosClasses];
-        auto stream = connection->OpenStream("clip", qos);
+        auto stream = connection->OpenStream("clip");
         if (!stream.ok()) {
           ++local_open_failures;
         } else {
           mine[static_cast<size_t>(i)].stream = std::move(*stream);
-          mine[static_cast<size_t>(i)].qos_class = global % kQosClasses;
         }
         streams_open.fetch_add(1);
       }
@@ -202,7 +185,7 @@ ShapeResult RunShape(MediaDatabase* db, int connection_count,
         std::this_thread::yield();
       }
 
-      std::vector<double> local_latencies[kQosClasses];
+      std::vector<double> local_latencies;
       int local_read_failures = 0, local_mismatches = 0, local_completed = 0;
       int remaining = 0;
       for (Driver& driver : mine) {
@@ -222,7 +205,7 @@ ShapeResult RunShape(MediaDatabase* db, int connection_count,
             --remaining;
             continue;
           }
-          local_latencies[driver.qos_class].push_back(elapsed);
+          local_latencies.push_back(elapsed);
           for (const serve::WireElement& element : batch->elements) {
             if (element.element_number != driver.next_expected ||
                 element.payload !=
@@ -246,11 +229,9 @@ ShapeResult RunShape(MediaDatabase* db, int connection_count,
       result.read_failures += local_read_failures;
       result.payload_mismatches += local_mismatches;
       result.completed += local_completed;
-      for (int qos = 0; qos < kQosClasses; ++qos) {
-        result.latencies_us[qos].insert(result.latencies_us[qos].end(),
-                                        local_latencies[qos].begin(),
-                                        local_latencies[qos].end());
-      }
+      result.latencies_us.insert(result.latencies_us.end(),
+                                 local_latencies.begin(),
+                                 local_latencies.end());
     });
   }
 
@@ -274,9 +255,7 @@ ShapeResult RunShape(MediaDatabase* db, int connection_count,
   result.admitted = stats.sessions_admitted;
   result.denied = stats.sessions_denied;
   result.evicted = stats.sessions_evicted;
-  for (auto& per_qos : result.latencies_us) {
-    std::sort(per_qos.begin(), per_qos.end());
-  }
+  std::sort(result.latencies_us.begin(), result.latencies_us.end());
   return result;
 }
 
@@ -463,15 +442,12 @@ int Run(int argc, char** argv) {
   bool pacing_ok = ProbePacing(db.get(), &pacing_error);
   bool eviction_ok = ProbeEviction(db.get(), &eviction_error);
 
-  std::vector<double> mux_all = mux.all();
-  std::vector<double> per_all = per_stream.all();
-
   char json[4096];
   std::snprintf(
       json, sizeof(json),
       "{\"bench\": \"ablation_reactor\",\n"
       " \"workload\": \"%d concurrent streams, %d-element clip, "
-      "%d B/element, QoS priorities {0,4,7}\",\n"
+      "%d B/element\",\n"
       " \"streams\": %d,\n"
       " \"multiplexed\": {\n"
       "  \"connections\": %d,\n"
@@ -480,9 +456,6 @@ int Run(int argc, char** argv) {
       "  \"admitted\": %llu, \"denied\": %llu, \"evicted\": %llu,\n"
       "  \"completed\": %d,\n"
       "  \"read_p50_us\": %.1f, \"read_p99_us\": %.1f,\n"
-      "  \"read_p50_us_p0\": %.1f, \"read_p99_us_p0\": %.1f,\n"
-      "  \"read_p50_us_p4\": %.1f, \"read_p99_us_p4\": %.1f,\n"
-      "  \"read_p50_us_p7\": %.1f, \"read_p99_us_p7\": %.1f,\n"
       "  \"wall_ms\": %.1f},\n"
       " \"connection_per_stream\": {\n"
       "  \"connections\": %d,\n"
@@ -491,9 +464,6 @@ int Run(int argc, char** argv) {
       "  \"admitted\": %llu, \"denied\": %llu, \"evicted\": %llu,\n"
       "  \"completed\": %d,\n"
       "  \"read_p50_us\": %.1f, \"read_p99_us\": %.1f,\n"
-      "  \"read_p50_us_p0\": %.1f, \"read_p99_us_p0\": %.1f,\n"
-      "  \"read_p50_us_p4\": %.1f, \"read_p99_us_p4\": %.1f,\n"
-      "  \"read_p50_us_p7\": %.1f, \"read_p99_us_p7\": %.1f,\n"
       "  \"wall_ms\": %.1f},\n"
       " \"admission_probe_ok\": %s,\n"
       " \"pacing_probe_ok\": %s,\n"
@@ -503,16 +473,13 @@ int Run(int argc, char** argv) {
       static_cast<unsigned long long>(mux.admitted),
       static_cast<unsigned long long>(mux.denied),
       static_cast<unsigned long long>(mux.evicted), mux.completed,
-      Percentile(mux_all, 0.50), Percentile(mux_all, 0.99), mux.p50(0),
-      mux.p99(0), mux.p50(1), mux.p99(1), mux.p50(2), mux.p99(2), mux.wall_ms,
+      mux.p50(), mux.p99(), mux.wall_ms,
       kStreams, per_stream.held_all_concurrently ? "true" : "false",
       static_cast<unsigned long long>(per_stream.admitted),
       static_cast<unsigned long long>(per_stream.denied),
       static_cast<unsigned long long>(per_stream.evicted),
-      per_stream.completed, Percentile(per_all, 0.50),
-      Percentile(per_all, 0.99), per_stream.p50(0), per_stream.p99(0),
-      per_stream.p50(1), per_stream.p99(1), per_stream.p50(2),
-      per_stream.p99(2), per_stream.wall_ms, admission_ok ? "true" : "false",
+      per_stream.completed, per_stream.p50(), per_stream.p99(),
+      per_stream.wall_ms, admission_ok ? "true" : "false",
       pacing_ok ? "true" : "false", eviction_ok ? "true" : "false");
   std::printf("%s", json);
 

@@ -17,7 +17,7 @@ using BlobId = uint64_t;
 inline constexpr BlobId kInvalidBlobId = 0;
 
 class ChunkReader;
-struct ChunkReaderOptions;
+struct StreamReadOptions;
 
 /// A streaming BLOB ingest in progress — the write half of the store
 /// API. Obtained from `BlobStore::StartPush()`; bytes are streamed in
@@ -142,7 +142,7 @@ class BlobStore {
   /// see every chunk read. The reader borrows the store: keep the store
   /// alive and unmutated while reading.
   Result<std::unique_ptr<ChunkReader>> OpenChunkReader(
-      BlobId id, const ChunkReaderOptions& options) const;
+      BlobId id, const StreamReadOptions& options) const;
 };
 
 }  // namespace tbm

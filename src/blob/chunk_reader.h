@@ -7,17 +7,38 @@
 #include "base/buffer.h"
 #include "base/bytes.h"
 #include "base/result.h"
+#include "base/status.h"
 #include "blob/read_policy.h"
 
 namespace tbm {
 
-/// How a chunked read of a BLOB behaves.
-struct ChunkReaderOptions {
-  /// Bytes served per chunk (the last chunk may be shorter).
-  uint32_t chunk_size = 256 * 1024;
+class ThreadPool;
+
+/// How a BLOB is read in chunks: the chunk granularity and retry policy
+/// of a ChunkReader, and the readahead of an AsyncPrefetcher over it.
+/// ElementStream and everything above it read through these settings.
+struct StreamReadOptions {
+  /// Chunk granularity of the underlying reads, in [1, 2^32) bytes.
+  uint64_t chunk_size = 256 * 1024;
+
+  /// Chunks of readahead. 0 (or a null `pool`) reads synchronously —
+  /// each chunk is fetched when the consumer asks for it.
+  int prefetch_depth = 4;
+
+  /// Backpressure bound on prefetched-but-unconsumed bytes: scheduling
+  /// pauses at this bound even if `prefetch_depth` would allow more, so
+  /// a fast store cannot balloon memory ahead of a slow consumer.
+  uint64_t max_inflight_bytes = 8ull << 20;
 
   /// Retry/backoff/timeout applied to every chunk read.
   ReadPolicy policy;
+
+  /// Pool the readahead runs on; borrowed, may be null (synchronous).
+  ThreadPool* pool = nullptr;
+
+  /// InvalidArgument when `chunk_size` is 0 or does not fit the
+  /// reader's 32-bit chunk size.
+  Status Validate() const;
 };
 
 /// Incremental access to one BLOB as a sequence of fixed-size chunks.
@@ -39,7 +60,9 @@ struct ChunkReaderOptions {
 class ChunkReader {
  public:
   /// Chunk payload size in bytes, as requested at open.
-  uint32_t chunk_size() const { return options_.chunk_size; }
+  uint32_t chunk_size() const {
+    return static_cast<uint32_t>(options_.chunk_size);
+  }
 
   /// BLOB size snapshot taken at open, bytes.
   uint64_t blob_size() const { return size_; }
@@ -75,13 +98,13 @@ class ChunkReader {
   friend class BlobStore;
 
   ChunkReader(const BlobStore* store, BlobId id, uint64_t size,
-              const ChunkReaderOptions& options)
+              const StreamReadOptions& options)
       : store_(store), id_(id), size_(size), options_(options) {}
 
   const BlobStore* store_;
   BlobId id_;
   uint64_t size_;
-  ChunkReaderOptions options_;
+  StreamReadOptions options_;
 };
 
 }  // namespace tbm

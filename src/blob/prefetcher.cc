@@ -1,5 +1,6 @@
 #include "blob/prefetcher.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -33,14 +34,16 @@ struct PrefetchMetrics {
 }  // namespace
 
 AsyncPrefetcher::AsyncPrefetcher(std::unique_ptr<ChunkReader> reader,
-                                 ThreadPool* pool, PrefetchOptions options,
+                                 const StreamReadOptions& options,
                                  std::vector<uint64_t> chunks)
     : reader_(std::move(reader)),
-      pool_(pool),
-      options_(options),
+      pool_(options.pool),
+      depth_(options.pool != nullptr && options.prefetch_depth > 0
+                 ? static_cast<size_t>(options.prefetch_depth)
+                 : 0),
+      max_inflight_bytes_(std::max<uint64_t>(options.max_inflight_bytes, 1)),
       chunks_(std::move(chunks)) {
-  if (options_.max_inflight_bytes == 0) options_.max_inflight_bytes = 1;
-  if (pool_ != nullptr && options_.depth > 0) {
+  if (depth_ > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     ScheduleLocked();
   }
@@ -65,15 +68,15 @@ PrefetchStats AsyncPrefetcher::stats() const {
 }
 
 void AsyncPrefetcher::ScheduleLocked() {
-  if (pool_ == nullptr || options_.depth <= 0) return;
+  if (depth_ == 0) return;
   while (next_schedule_ < chunks_.size() &&
-         next_schedule_ < next_consume_ + static_cast<size_t>(options_.depth)) {
+         next_schedule_ < next_consume_ + depth_) {
     const size_t position = next_schedule_;
     const uint64_t length = reader_->ChunkRange(chunks_[position]).length;
     // Backpressure: always allow one chunk in flight so progress never
     // deadlocks on a chunk larger than the byte budget.
     if (inflight_bytes_ > 0 &&
-        inflight_bytes_ + length > options_.max_inflight_bytes) {
+        inflight_bytes_ + length > max_inflight_bytes_) {
       break;
     }
     inflight_bytes_ += length;
@@ -100,7 +103,7 @@ Result<BufferSlice> AsyncPrefetcher::Next() {
   const size_t position = next_consume_;
 
   Result<BufferSlice> result = BufferSlice{};
-  if (pool_ == nullptr || options_.depth <= 0) {
+  if (depth_ == 0) {
     // Synchronous mode: fetch on the caller's thread.
     lock.unlock();
     result = reader_->ReadChunk(chunks_[position]);

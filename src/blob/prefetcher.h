@@ -13,20 +13,6 @@
 
 namespace tbm {
 
-/// Readahead behaviour of an AsyncPrefetcher.
-struct PrefetchOptions {
-  /// Chunks scheduled ahead of the consumer. 0 (or a null pool)
-  /// degrades to synchronous on-demand reads — the baseline the
-  /// streaming ablation measures against.
-  int depth = 4;
-
-  /// Backpressure: total bytes allowed in flight or buffered but not
-  /// yet consumed. Scheduling pauses at this bound even if `depth`
-  /// would allow more, so a fast store cannot balloon memory ahead of
-  /// a slow consumer.
-  uint64_t max_inflight_bytes = 8ull << 20;
-};
-
 /// Counters of one prefetcher's lifetime (monotone; read anytime).
 struct PrefetchStats {
   uint64_t chunks_delivered = 0;
@@ -46,9 +32,11 @@ struct PrefetchStats {
 ///
 /// The prefetcher delivers a chunk plan: an ascending list of chunk
 /// indices, fixed at construction. The consumer calls Next() to receive
-/// those chunks in order; the prefetcher keeps up to `depth` further
-/// plan chunks in flight on the thread pool, bounded by
-/// `max_inflight_bytes`. Chunks outside the plan are never read, and
+/// those chunks in order; the prefetcher keeps up to `prefetch_depth`
+/// further plan chunks in flight on the options' pool, bounded by
+/// `max_inflight_bytes`. Depth 0 or a null pool reads each chunk
+/// synchronously in Next() — the baseline the streaming ablation
+/// measures against. Chunks outside the plan are never read, and
 /// readahead stops at the plan's last chunk. When I/O latency and
 /// decode cost are comparable, this overlaps them almost completely —
 /// playback touches elements in timestamp order at a constant rate
@@ -63,12 +51,13 @@ struct PrefetchStats {
 /// in-flight reads before returning.
 class AsyncPrefetcher {
  public:
-  /// `reader` is owned; `pool` is borrowed and may be null (synchronous
-  /// mode). `chunks` is the plan: ascending, distinct indices below the
-  /// reader's chunk_count(). The underlying store must stay alive and
-  /// unmutated for the prefetcher's lifetime.
-  AsyncPrefetcher(std::unique_ptr<ChunkReader> reader, ThreadPool* pool,
-                  PrefetchOptions options, std::vector<uint64_t> chunks);
+  /// `reader` is owned; `options.pool` is borrowed and may be null
+  /// (synchronous mode). `chunks` is the plan: ascending, distinct
+  /// indices below the reader's chunk_count(). The underlying store must
+  /// stay alive and unmutated for the prefetcher's lifetime.
+  AsyncPrefetcher(std::unique_ptr<ChunkReader> reader,
+                  const StreamReadOptions& options,
+                  std::vector<uint64_t> chunks);
 
   /// Blocks until outstanding chunk reads finish.
   ~AsyncPrefetcher();
@@ -95,8 +84,9 @@ class AsyncPrefetcher {
   void ScheduleLocked();
 
   std::unique_ptr<ChunkReader> reader_;
-  ThreadPool* pool_;
-  PrefetchOptions options_;
+  ThreadPool* const pool_;
+  const size_t depth_;  ///< 0 = synchronous (also with a null pool).
+  const uint64_t max_inflight_bytes_;
   const std::vector<uint64_t> chunks_;
 
   mutable std::mutex mu_;

@@ -79,24 +79,28 @@ std::string EvalStats::ToString() const {
                 (unsigned long long)evaluations,
                 (unsigned long long)nodes_evaluated, wall_seconds);
   out += line;
-  std::snprintf(line, sizeof(line),
-                "cache: %llu hits, %llu misses, %llu evictions, "
-                "%llu invalidations\n",
-                (unsigned long long)cache_hits,
-                (unsigned long long)cache_misses,
-                (unsigned long long)cache_evictions,
-                (unsigned long long)entries_invalidated);
-  out += line;
-  std::snprintf(line, sizeof(line), "cache occupancy: %s of %s budget\n",
-                HumanByteCount(bytes_cached).c_str(),
-                HumanByteCount(cache_budget_bytes).c_str());
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "cache bytes: %s logical, %s resident (shared buffers "
-                "counted once)\n",
-                HumanByteCount(logical_bytes).c_str(),
-                HumanByteCount(resident_bytes).c_str());
-  out += line;
+  // A single evaluation starts from an empty cache, so it can have no
+  // hits: the cache lines only say something once an engine is reused.
+  if (evaluations > 1) {
+    std::snprintf(line, sizeof(line),
+                  "cache: %llu hits, %llu misses, %llu evictions, "
+                  "%llu invalidations\n",
+                  (unsigned long long)cache_hits,
+                  (unsigned long long)cache_misses,
+                  (unsigned long long)cache_evictions,
+                  (unsigned long long)entries_invalidated);
+    out += line;
+    std::snprintf(line, sizeof(line), "cache occupancy: %s of %s budget\n",
+                  HumanByteCount(bytes_cached).c_str(),
+                  HumanByteCount(cache_budget_bytes).c_str());
+    out += line;
+    std::snprintf(line, sizeof(line),
+                  "cache bytes: %s logical, %s resident (shared buffers "
+                  "counted once)\n",
+                  HumanByteCount(logical_bytes).c_str(),
+                  HumanByteCount(resident_bytes).c_str());
+    out += line;
+  }
   std::snprintf(line, sizeof(line), "fusion: %llu nodes fused, %s elided\n",
                 (unsigned long long)fused_nodes,
                 HumanByteCount(elided_bytes).c_str());

@@ -14,9 +14,7 @@ Result<std::unique_ptr<ElementStream>> ElementStream::Open(
     const BlobStore& store, const Interpretation& interpretation,
     const std::string& name, const StreamReadOptions& options,
     std::optional<TickSpan> span, ElementSelection selection) {
-  if (options.chunk_size == 0) {
-    return Status::InvalidArgument("chunk_size must be positive");
-  }
+  TBM_RETURN_IF_ERROR(options.Validate());
   TBM_ASSIGN_OR_RETURN(const InterpretedObject* object,
                        interpretation.FindObject(name));
   InterpretedObject selected = *object;
@@ -54,13 +52,9 @@ Status ElementStream::Reposition(ElementSelection selection) {
 Status ElementStream::EnsurePrefetcher() {
   if (prefetcher_ != nullptr) return Status::OK();
   // Opened on first use rather than in Open() or Reposition() so
-  // readahead does not start (and OpenChunkReader cannot fail) before
-  // the first Next().
-  ChunkReaderOptions reader_options;
-  reader_options.chunk_size = options_.chunk_size;
-  reader_options.policy = options_.policy;
+  // readahead does not start before the first Next().
   TBM_ASSIGN_OR_RETURN(std::unique_ptr<ChunkReader> reader,
-                       store_.OpenChunkReader(blob_, reader_options));
+                       store_.OpenChunkReader(blob_, options_));
   // The plan: every chunk that a selected element from here on touches,
   // ascending. Bytes of other objects, unselected elements, or past the
   // BLOB end are never read.
@@ -87,12 +81,9 @@ Status ElementStream::EnsurePrefetcher() {
     if (touched[c]) chunks.push_back(c);
   }
 
-  PrefetchOptions prefetch;
-  prefetch.depth = options_.prefetch_depth;
-  prefetch.max_inflight_bytes = options_.max_inflight_bytes;
   next_pull_ = 0;
-  prefetcher_ = std::make_unique<AsyncPrefetcher>(
-      std::move(reader), options_.pool, prefetch, std::move(chunks));
+  prefetcher_ = std::make_unique<AsyncPrefetcher>(std::move(reader), options_,
+                                                  std::move(chunks));
   return Status::OK();
 }
 

@@ -10,31 +10,13 @@
 
 #include "base/thread_pool.h"
 #include "blob/blob_store.h"
+#include "blob/chunk_reader.h"
 #include "blob/prefetcher.h"
 #include "blob/read_policy.h"
 #include "interp/interpretation.h"
 #include "stream/timed_stream.h"
 
 namespace tbm {
-
-/// How an ElementStream reads its BLOB.
-struct StreamReadOptions {
-  /// Chunk granularity of the underlying reads.
-  uint64_t chunk_size = 256 * 1024;
-
-  /// Chunks of readahead. 0 (or a null `pool`) reads synchronously —
-  /// each element's chunks are fetched when the element is requested.
-  int prefetch_depth = 4;
-
-  /// Backpressure bound on prefetched-but-unconsumed bytes.
-  uint64_t max_inflight_bytes = 8ull << 20;
-
-  /// Retry/backoff/timeout applied to every chunk read.
-  ReadPolicy policy;
-
-  /// Pool the readahead runs on; borrowed, may be null (synchronous).
-  ThreadPool* pool = nullptr;
-};
 
 /// Counters of one ElementStream's lifetime.
 struct ElementStreamStats {

@@ -25,7 +25,7 @@ class StreamHandle;
 /// parameters and driven independently.
 ///
 ///   auto connection = Connect(std::move(transport));
-///   auto stream = connection->OpenStream("concert", {.priority = 2});
+///   auto stream = connection->OpenStream("concert", {.max_stride = 2});
 ///   while (auto batch = (*stream)->Read(8)) { ...; if (end) break; }
 ///   (*stream)->Close();
 ///

@@ -18,8 +18,6 @@ constexpr uint8_t kMaxSessionState =
 constexpr uint8_t kExtTagTrace = 1;
 constexpr uint8_t kExtTagQos = 2;
 
-constexpr uint8_t kMaxQosPriority = 7;
-
 /// A hostile TELEMETRY frame could claim an absurd per-histogram
 /// bucket count; anything past this is corrupt, not just future.
 constexpr uint64_t kMaxWireHistogramBuckets = 4096;
@@ -41,7 +39,6 @@ void EncodeRequestExtensions(BinaryWriter* writer, const Request& request) {
   }
   if (request.type == RequestType::kOpen && request.qos.present()) {
     BinaryWriter body;
-    body.WriteU8(request.qos.priority);
     body.WriteVarU64(request.qos.max_stride);
     body.WriteVarU64(request.qos.window_bytes);
     writer->WriteU8(kExtTagQos);
@@ -69,12 +66,6 @@ Status DecodeRequestExtensions(BinaryReader* reader, Request* request) {
       }
     } else if (tag == kExtTagQos) {
       BinaryReader body_reader(body);
-      TBM_ASSIGN_OR_RETURN(request->qos.priority, body_reader.ReadU8());
-      if (request->qos.priority > kMaxQosPriority) {
-        return Status::InvalidArgument(
-            "qos priority " + std::to_string(request->qos.priority) +
-            " out of range");
-      }
       TBM_ASSIGN_OR_RETURN(uint64_t max_stride, body_reader.ReadVarU64());
       if (max_stride > UINT32_MAX) {
         return Status::Corruption("qos max_stride overflows u32");

@@ -59,14 +59,12 @@ struct TraceContext {
 };
 
 /// Per-stream quality-of-service parameters, carried on OPEN as
-/// extension tag 2. Everything here defaults to "server decides":
-/// an OPEN without the extension gets priority 4, the server's stride
-/// ladder, and no flow-control window.
+/// extension tag 2 (`varint max_stride | varint window_bytes`).
+/// Everything here defaults to "server decides": an OPEN without the
+/// extension gets the server's stride ladder and no flow-control
+/// window. Every stream's data frames share one round-robin per
+/// connection; a stream's service level is its admitted data rate.
 struct StreamQos {
-  /// Write-scheduling priority, 0 (most urgent) .. 7 (background).
-  /// The server's priority write scheduler drains all sendable frames
-  /// of priority p before any of p+1, round-robin within a level.
-  uint8_t priority = 4;
   /// Deepest stride the client will accept before it would rather be
   /// denied. 0 = server's configured ladder (ServeConfig::max_stride).
   uint32_t max_stride = 0;
@@ -75,9 +73,7 @@ struct StreamQos {
   /// 0 = no flow control: READ data is sent as soon as it is ready.
   uint64_t window_bytes = 0;
 
-  bool present() const {
-    return priority != 4 || max_stride != 0 || window_bytes != 0;
-  }
+  bool present() const { return max_stride != 0 || window_bytes != 0; }
 };
 
 /// One client request. Only the fields for `type` are meaningful.

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -15,6 +16,17 @@
 namespace tbm::serve {
 
 namespace {
+
+/// Server-side cap on elements per READ response.
+constexpr uint64_t kReadBatchCap = 64;
+
+/// Worker-queue depth beyond which the server is under pressure: new
+/// streams are admitted pre-degraded (stride >= 2) so existing ones keep
+/// their fidelity.
+constexpr int kQueueHighWatermark = 32;
+
+/// Most recent flight-recorder dumps the server retains.
+constexpr size_t kFlightDumpCap = 32;
 
 /// Process-wide serve metrics.
 struct ServeMetrics {
@@ -160,10 +172,10 @@ struct MediaServer::Connection final : Reactor::Handler {
   FrameAssembler assembler;
   FrameWriter writer;
   std::map<uint64_t, std::unique_ptr<Stream>> streams;
-  /// Priority round-robin of streams with queued data frames. Entries
-  /// are stream ids and may be stale (stream removed since enqueue);
-  /// the scheduler validates on pop.
-  std::array<std::deque<uint64_t>, 8> rr;
+  /// Round-robin of streams with queued data frames, each id at most
+  /// once. Entries may be stale (stream removed since enqueue); the
+  /// scheduler validates on pop.
+  std::deque<uint64_t> rr;
   uint32_t interest = kTransportReadable;
   bool pace_timer_armed = false;
   /// Write-progress tracking for slow-client detection: bytes the
@@ -182,7 +194,8 @@ struct MediaServer::Connection final : Reactor::Handler {
 MediaServer::MediaServer(const MediaDatabase* db, ServeConfig config)
     : db_(db),
       config_(config),
-      admission_(config.capacity_bytes_per_second, config.admission_policy),
+      admission_(config.capacity_bytes_per_second,
+                 AdmissionController::Policy::kAverageRate),
       budget_(config.capacity_bytes_per_second,
               static_cast<uint64_t>(
                   std::max(1.0, config.capacity_bytes_per_second / 4))),
@@ -379,7 +392,6 @@ bool MediaServer::ProcessFrame(Connection* conn, Frame frame) {
       }
       auto stream = std::make_unique<Stream>();
       stream->id = sid;
-      stream->priority = std::min<uint8_t>(request.qos.priority, 7);
       stream->flow_controlled = request.qos.window_bytes > 0;
       stream->window = static_cast<int64_t>(
           std::min<uint64_t>(request.qos.window_bytes,
@@ -448,9 +460,8 @@ void MediaServer::Execute(Connection* conn, Stream* stream,
         EnqueueControl(conn, stream->id, response, received_ns);
         return;
       }
-      uint64_t max_elements =
-          std::min<uint64_t>(std::max<uint64_t>(request.max_elements, 1),
-                             std::max<uint64_t>(config_.read_batch_cap, 1));
+      uint64_t max_elements = std::clamp<uint64_t>(request.max_elements, 1,
+                                                   kReadBatchCap);
       stream->busy = true;
       worker_pool_.Submit([this, conn_id = conn->id, sid = stream->id,
                            session = stream->session, max_elements, trace,
@@ -577,7 +588,7 @@ void MediaServer::RunOpen(uint64_t conn_id, uint64_t stream_id,
     // Pressure-aware ladder: when the worker queue is backed up, new
     // streams start pre-degraded so existing ones keep their fidelity.
     int base_stride = 1;
-    if (worker_pool_.queue_depth() > config_.queue_high_watermark) {
+    if (worker_pool_.queue_depth() > kQueueHighWatermark) {
       base_stride = 2;
     }
     // The stream's QoS caps how deep the ladder may go: a stream that
@@ -614,9 +625,7 @@ void MediaServer::RunOpen(uint64_t conn_id, uint64_t stream_id,
     session_config.booked_bytes_per_second = decision.booked_bytes_per_second;
     session_config.connection_id = conn_id;
     session_config.stream_id = stream_id;
-    session_config.response_byte_cap = config_.response_byte_cap;
     session_config.read_options = config_.read_options;
-    session_config.slow_read_us = config_.slow_read_us;
     auto created =
         Session::Create(session_id, request.object_name, db_->blob_store(),
                         interpretation, (*entry)->stream_name, session_config);
@@ -791,9 +800,10 @@ void MediaServer::EnqueueData(Connection* conn, Stream* stream,
 }
 
 void MediaServer::EnterRoundRobin(Connection* conn, Stream* stream) {
-  if (stream->in_rr) return;
-  stream->in_rr = true;
-  conn->rr[std::min<uint8_t>(stream->priority, 7)].push_back(stream->id);
+  if (std::find(conn->rr.begin(), conn->rr.end(), stream->id) ==
+      conn->rr.end()) {
+    conn->rr.push_back(stream->id);
+  }
 }
 
 bool MediaServer::TrySendData(Connection* conn, Stream* stream) {
@@ -886,29 +896,21 @@ bool MediaServer::TrySendData(Connection* conn, Stream* stream) {
 }
 
 MediaServer::Stream* MediaServer::PickNextDataStream(Connection* conn) {
-  for (auto& level : conn->rr) {
-    // One full rotation of the level; streams that cannot send right
-    // now (window empty, paced) keep their place for the next pump.
-    for (size_t remaining = level.size(); remaining > 0; --remaining) {
-      uint64_t sid = level.front();
-      level.pop_front();
-      auto it = conn->streams.find(sid);
-      if (it == conn->streams.end()) continue;  // Stale: stream removed.
-      Stream* stream = it->second.get();
-      if (stream->data_frames.empty()) {
-        stream->in_rr = false;
-        continue;
-      }
-      if (TrySendData(conn, stream)) {
-        if (stream->data_frames.empty()) {
-          stream->in_rr = false;
-        } else {
-          level.push_back(sid);  // Round-robin: go to the back.
-        }
-        return stream;
-      }
-      level.push_back(sid);  // Blocked; stays in rotation.
-    }
+  std::deque<uint64_t>& rr = conn->rr;
+  // One full rotation; streams that cannot send right now (window
+  // empty, paced) keep their place for the next pump.
+  for (size_t remaining = rr.size(); remaining > 0; --remaining) {
+    uint64_t sid = rr.front();
+    rr.pop_front();
+    auto it = conn->streams.find(sid);
+    if (it == conn->streams.end()) continue;  // Stale: stream removed.
+    Stream* stream = it->second.get();
+    if (stream->data_frames.empty()) continue;
+    const bool sent = TrySendData(conn, stream);
+    // Round-robin: a stream that sent, or is blocked, goes to the back
+    // while it still has data queued.
+    if (!stream->data_frames.empty()) rr.push_back(sid);
+    if (sent) return stream;
   }
   return nullptr;
 }
@@ -922,9 +924,9 @@ void MediaServer::PumpWrites(Connection* conn) {
     }
     conn->total_flushed += *flushed;
     if (!conn->writer.empty()) break;  // Transport would block.
-    // Writer drained: schedule the next data frame, best priority
-    // first, round-robin within a level. Control frames never wait
-    // here — they go straight into the writer at enqueue time.
+    // Writer drained: schedule the next data frame, round-robin over
+    // the streams. Control frames never wait here — they go straight
+    // into the writer at enqueue time.
     if (PickNextDataStream(conn) == nullptr) break;
   }
   UpdateConnInterest(conn);
@@ -1103,7 +1105,7 @@ std::vector<std::string> MediaServer::flight_dumps() const {
 void MediaServer::StoreFlightDump(std::string dump) {
   if (dump.empty()) return;  // TBM_OBS_DISABLED: recorders are empty.
   std::lock_guard<std::mutex> lock(flight_mu_);
-  if (flight_dumps_.size() >= std::max<size_t>(1, config_.flight_dump_cap)) {
+  if (flight_dumps_.size() >= kFlightDumpCap) {
     flight_dumps_.erase(flight_dumps_.begin());
   }
   flight_dumps_.push_back(std::move(dump));

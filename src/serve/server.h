@@ -1,7 +1,6 @@
 #ifndef TBM_SERVE_SERVER_H_
 #define TBM_SERVE_SERVER_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -35,8 +34,6 @@ struct ServeConfig {
 
   /// Aggregate service bandwidth admission control books against.
   double capacity_bytes_per_second = 64.0 * 1024 * 1024;
-  AdmissionController::Policy admission_policy =
-      AdmissionController::Policy::kAverageRate;
 
   /// Deepest degradation tier admission may fall back to (power of
   /// two; stride 8 books 1/8 of the full rate).
@@ -49,18 +46,6 @@ struct ServeConfig {
 
   /// Threads running chunk readahead for full-fidelity sessions.
   int io_threads = 2;
-
-  /// Server-side cap on elements per READ response.
-  uint64_t read_batch_cap = 64;
-
-  /// Byte cap per READ response frame.
-  uint64_t response_byte_cap = 4ull << 20;
-
-  /// Worker-queue depth beyond which the server is "under pressure":
-  /// new streams are admitted pre-degraded (stride >= 2) and
-  /// streaming sessions are degraded instead of stalling on the byte
-  /// budget.
-  int queue_high_watermark = 32;
 
   /// How long a READ data frame may wait on the global byte budget
   /// after the pressure degrade was applied. Past it the send
@@ -86,14 +71,6 @@ struct ServeConfig {
   /// real time. Misses increment the per-QoS deadline-miss counter and
   /// land in the session's flight recorder.
   uint64_t read_deadline_us = 0;
-
-  /// Element reads slower than this are flight-recorded (see
-  /// Session::Config::slow_read_us). 0 disables.
-  uint64_t slow_read_us = 10'000;
-
-  /// Most recent flight-recorder dumps the server retains (from
-  /// evicted streams and streams that completed with skips).
-  size_t flight_dump_cap = 32;
 };
 
 /// Aggregate counters of a server's lifetime.
@@ -152,10 +129,10 @@ class ByteBudget {
 /// to the loop, which encodes and schedules the response.
 ///
 /// Write scheduling per connection: control frames (OPEN/SEEK/STATS/
-/// CLOSE/TELEMETRY/errors) first, then READ data frames by QoS
-/// priority (0 before 7), round-robin within a level. A data frame is
-/// sendable only when its stream's flow-control window covers it and
-/// the global byte budget grants it.
+/// CLOSE/TELEMETRY/errors) first, then READ data frames, one per
+/// stream in turn (round-robin over the streams with queued data). A
+/// data frame is sendable only when its stream's flow-control window
+/// covers it and the global byte budget grants it.
 ///
 /// Overload policy, in order: (1) admission books each stream's rate
 /// against `capacity_bytes_per_second`, degrading new streams
@@ -190,8 +167,8 @@ class MediaServer {
   const ServeConfig& config() const { return config_; }
 
   /// Flight-recorder dumps of streams that ended badly (evicted, or
-  /// completed with skipped elements), newest last, capped at
-  /// `flight_dump_cap`. Empty in TBM_OBS_DISABLED builds.
+  /// completed with skipped elements), newest last, at most the 32
+  /// most recent. Empty in TBM_OBS_DISABLED builds.
   std::vector<std::string> flight_dumps() const;
 
  private:
@@ -213,7 +190,6 @@ class MediaServer {
   /// One multiplexed stream on a connection. Loop-thread state.
   struct Stream {
     uint64_t id = 0;
-    uint8_t priority = 4;  ///< QoS write priority, 0..7.
     std::shared_ptr<Session> session;  ///< Null until OPEN completes.
     std::string admission_key;
     bool booked = false;
@@ -223,8 +199,7 @@ class MediaServer {
     /// Requests queued behind the one outstanding worker task
     /// (sessions are single-driver), with their receipt timestamps.
     std::deque<std::pair<Request, int64_t>> pending;
-    bool busy = false;   ///< A worker task is in flight for this stream.
-    bool in_rr = false;  ///< Enqueued in the priority round-robin.
+    bool busy = false;  ///< A worker task is in flight for this stream.
     /// Pacing asked for a degrade while a worker held the session;
     /// applied on the loop once the stream is quiescent again.
     bool degrade_pending = false;

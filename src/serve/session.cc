@@ -9,6 +9,18 @@
 
 namespace tbm::serve {
 
+namespace {
+
+/// Byte cap per READ batch (bounds frame size and send latency); an
+/// element larger than the cap still goes out, alone in its batch.
+constexpr uint64_t kResponseByteCap = 4ull << 20;
+
+/// An element read slower than this lands in the flight recorder as a
+/// SLOW_READ event.
+constexpr uint64_t kSlowReadUs = 10'000;
+
+}  // namespace
+
 Result<std::unique_ptr<Session>> Session::Create(
     uint64_t id, std::string object_name, const BlobStore* store,
     const Interpretation& interpretation, const std::string& stream_name,
@@ -69,7 +81,7 @@ Result<ReadBatch> Session::ReadNext(uint64_t max_elements) {
     const ElementPlacement& placement =
         stream_->object().elements[static_cast<size_t>(index)];
     if (!batch.elements.empty() &&
-        batch_bytes + placement.placement.length > config_.response_byte_cap) {
+        batch_bytes + placement.placement.length > kResponseByteCap) {
       break;  // Keep each response frame (and its send latency) bounded.
     }
     // In TBM_OBS_DISABLED builds NowTicksNs() is inline 0 and Record()
@@ -89,7 +101,7 @@ Result<ReadBatch> Session::ReadNext(uint64_t max_elements) {
       degraded_ = true;
       continue;
     }
-    if (config_.slow_read_us != 0 && elapsed_us > config_.slow_read_us) {
+    if (elapsed_us > kSlowReadUs) {
       flight_.Record(obs::FlightEventType::kSlowRead,
                      "element read over threshold", index, elapsed_us);
     }

@@ -143,7 +143,6 @@ TEST(FramingFuzzTest, V2BodyTruncatedAtEveryCut) {
   Request open;
   open.type = RequestType::kOpen;
   open.object_name = "clip";
-  open.qos.priority = 2;
   open.qos.window_bytes = 4096;
   FrameHeader header;
   header.stream_id = 12;
@@ -310,9 +309,7 @@ TEST(MultiplexTest, SixteenStreamsInterleaveBitExact) {
   };
   std::vector<Driver> drivers(kStreams);
   for (int i = 0; i < kStreams; ++i) {
-    StreamQos qos;
-    qos.priority = static_cast<uint8_t>(i % 8);
-    auto stream = connection->OpenStream("clip", qos);
+    auto stream = connection->OpenStream("clip");
     ASSERT_TRUE(stream.ok()) << stream.status().message();
     EXPECT_EQ((*stream)->info().element_count,
               static_cast<uint64_t>(kElements));
@@ -519,9 +516,7 @@ TEST(MultiplexStressTest, TwoFiftySixStreamsAcrossFourConnections) {
       };
       std::vector<Driver> drivers(kStreamsPerConnection);
       for (int i = 0; i < kStreamsPerConnection; ++i) {
-        StreamQos qos;
-        qos.priority = static_cast<uint8_t>(i % 8);
-        auto stream = connection->OpenStream("clip", qos);
+        auto stream = connection->OpenStream("clip");
         if (!stream.ok()) {
           failures.fetch_add(1);
           return;

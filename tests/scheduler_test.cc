@@ -330,6 +330,28 @@ TEST(EngineTest, StatsCountWork) {
   EXPECT_FALSE(stats.ToString().empty());
 }
 
+TEST(EngineTest, StatsPrintCacheLinesOnlyForReusedEngine) {
+  FanOut f = MakeFanOut(4);
+  DerivationEngine engine(&f.graph);
+  ASSERT_TRUE(engine.Evaluate(f.root).ok());
+  // One evaluation starts from an empty cache: no hit is possible, so
+  // the cache lines are left out.
+  std::string once = engine.stats().ToString();
+  EXPECT_NE(once.find("evaluations: 1 "), std::string::npos) << once;
+  EXPECT_EQ(once.find("cache"), std::string::npos) << once;
+
+  ASSERT_TRUE(engine.Evaluate(f.root).ok());
+  EvalStats stats = engine.stats();
+  ASSERT_GT(stats.cache_hits, 0u);
+  std::string twice = stats.ToString();
+  EXPECT_NE(twice.find("cache: " + std::to_string(stats.cache_hits) +
+                       " hits"),
+            std::string::npos)
+      << twice;
+  EXPECT_NE(twice.find("cache occupancy: "), std::string::npos) << twice;
+  EXPECT_NE(twice.find("cache bytes: "), std::string::npos) << twice;
+}
+
 TEST(EngineTest, ConcurrentEvaluateCallsAreSafe) {
   FanOut f = MakeFanOut(8);
   EvalOptions options;

@@ -77,6 +77,29 @@ std::unique_ptr<MediaDatabase> BuildServeDb(double read_fault_rate = 0.0) {
   return BuildServeDbOn(std::move(store));
 }
 
+// A database whose media object "clip" has one element per entry of
+// `sizes`, element i filled with the byte i.
+std::unique_ptr<MediaDatabase> BuildSizedDb(const std::vector<size_t>& sizes) {
+  auto db = MediaDatabase::CreateWithStore(std::make_unique<MemoryBlobStore>());
+  auto capture = CaptureSession::Begin(db->blob_store());
+  EXPECT_TRUE(capture.ok());
+  MediaDescriptor descriptor;
+  descriptor.type_name = "audio/pcm-block";
+  descriptor.kind = MediaKind::kAudio;
+  auto handle = capture->DeclareObject("clip", descriptor, TimeSystem(10));
+  EXPECT_TRUE(handle.ok());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    Bytes payload(sizes[i], static_cast<uint8_t>(i));
+    EXPECT_TRUE(capture->CaptureContiguous(*handle, payload, 1).ok());
+  }
+  auto interpretation = capture->Finish();
+  EXPECT_TRUE(interpretation.ok());
+  auto interp_id = db->AddInterpretation("clip_interp", *interpretation);
+  EXPECT_TRUE(interp_id.ok());
+  EXPECT_TRUE(db->AddMediaObject("clip", *interp_id, "clip").ok());
+  return db;
+}
+
 // The stream id the raw-frame tests address every request to.
 constexpr uint64_t kRawStream = 1;
 
@@ -145,14 +168,34 @@ TEST(ServeProtocolTest, QosExtensionRoundTrips) {
   Request open;
   open.type = RequestType::kOpen;
   open.object_name = "clip";
-  open.qos.priority = 6;
   open.qos.max_stride = 4;
   open.qos.window_bytes = 1 << 16;
   auto decoded = DecodeRequest(EncodeRequest(open));
   ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  EXPECT_EQ(decoded->qos.priority, 6u);
   EXPECT_EQ(decoded->qos.max_stride, 4u);
   EXPECT_EQ(decoded->qos.window_bytes, uint64_t{1} << 16);
+}
+
+// The QoS body once led with a u8 write priority. Such a body must fail
+// the trailing-bytes check rather than be read with its fields shifted.
+TEST(ServeProtocolTest, QosBodyWithPriorityByteIsCorruption) {
+  Request plain;
+  plain.type = RequestType::kOpen;
+  plain.object_name = "clip";
+  for (uint64_t window : {uint64_t{0}, uint64_t{1} << 16}) {
+    BinaryWriter body;
+    body.WriteU8(4);  // priority
+    body.WriteVarU64(2);  // max_stride
+    body.WriteVarU64(window);
+    BinaryWriter payload;
+    payload.WriteRaw(EncodeRequest(plain));
+    payload.WriteU8(2);  // QoS extension tag
+    payload.WriteBytes(body.buffer());
+    auto decoded = DecodeRequest(payload.buffer());
+    ASSERT_FALSE(decoded.ok()) << "window " << window;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << decoded.status();
+  }
 }
 
 TEST(ServeProtocolTest, ResponseRoundTripsBodies) {
@@ -493,8 +536,53 @@ TEST(ServeSessionTest, SeekOutOfRangeAndEviction) {
             StatusCode::kFailedPrecondition);
 }
 
+// A READ batch stops before the element that would take it past 4 MiB;
+// an element larger than that still goes out, alone in its batch.
+TEST(ServeSessionTest, BatchesStopAtFourMebibytes) {
+  constexpr size_t kMiB = 1 << 20;
+  auto db = BuildSizedDb({3 * kMiB / 2, 3 * kMiB / 2, 3 * kMiB / 2, 5 * kMiB});
+  auto entry = db->Get(*db->FindByName("clip_interp"));
+  ASSERT_TRUE(entry.ok());
+  auto session = Session::Create(4, "clip", db->blob_store(),
+                                 (*entry)->interpretation, "clip", {});
+  ASSERT_TRUE(session.ok()) << session.status();
+
+  std::vector<std::vector<uint64_t>> batches;
+  for (;;) {
+    auto batch = (*session)->ReadNext(64);
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    std::vector<uint64_t> numbers;
+    for (const WireElement& element : batch->elements) {
+      numbers.push_back(element.element_number);
+    }
+    batches.push_back(numbers);
+    if (batch->end_of_stream) break;
+  }
+  EXPECT_EQ(batches, (std::vector<std::vector<uint64_t>>{{0, 1}, {2}, {3}}));
+}
+
 // ---------------------------------------------------------------------------
 // Server end-to-end over loopback
+
+TEST(MediaServerTest, ReadBatchIsCappedAtSixtyFourElements) {
+  auto db = BuildSizedDb(std::vector<size_t>(100, 16));
+  MediaServer server(db.get());
+  auto [client_end, server_end] = CreateLoopbackPair();
+  ASSERT_TRUE(server.Serve(std::move(server_end)).ok());
+  auto connection = Connect(std::move(client_end));
+  auto stream = connection->OpenStream("clip");
+  ASSERT_TRUE(stream.ok()) << stream.status();
+
+  auto first = (*stream)->Read(1000);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->elements.size(), 64u);
+  EXPECT_FALSE(first->end_of_stream);
+  auto rest = (*stream)->Read(1000);
+  ASSERT_TRUE(rest.ok()) << rest.status();
+  EXPECT_EQ(rest->elements.size(), 36u);
+  EXPECT_TRUE(rest->end_of_stream);
+  EXPECT_TRUE((*stream)->Close().ok());
+}
 
 TEST(MediaServerTest, StreamsWholeObjectAndFinishesDone) {
   auto db = BuildServeDb();

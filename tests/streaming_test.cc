@@ -86,7 +86,7 @@ TEST_P(ChunkReaderContract, ChunksConcatenateToWholeBlob) {
   ASSERT_TRUE(id.ok()) << id.status();
 
   for (uint64_t chunk_size : {64u, 100u, 999u, 5000u, 10000u}) {
-    ChunkReaderOptions options;
+    StreamReadOptions options;
     options.chunk_size = chunk_size;
     auto reader = store_->OpenChunkReader(*id, options);
     ASSERT_TRUE(reader.ok()) << reader.status();
@@ -112,7 +112,7 @@ TEST_P(ChunkReaderContract, ChunksConcatenateToWholeBlob) {
 TEST_P(ChunkReaderContract, LastChunkIsTruncated) {
   auto id = store_->PushAll(Pattern(250));
   ASSERT_TRUE(id.ok()) << id.status();
-  ChunkReaderOptions options;
+  StreamReadOptions options;
   options.chunk_size = 100;
   auto reader = store_->OpenChunkReader(*id, options);
   ASSERT_TRUE(reader.ok()) << reader.status();
@@ -126,10 +126,24 @@ TEST_P(ChunkReaderContract, LastChunkIsTruncated) {
 TEST_P(ChunkReaderContract, ZeroChunkSizeRejected) {
   auto id = store_->PushAll(Pattern(10));
   ASSERT_TRUE(id.ok()) << id.status();
-  ChunkReaderOptions options;
-  options.chunk_size = 0;
-  EXPECT_TRUE(
-      store_->OpenChunkReader(*id, options).status().IsInvalidArgument());
+  Interpretation interp(*id);
+  InterpretedObject object;
+  object.name = "v";
+  object.elements.push_back({0, 0, 1, ByteRange{0, 10}, {}});
+  ASSERT_TRUE(interp.AddObject(object).ok());
+  // 0, and a size whose low 32 bits (64 KiB) would pass for a chunk
+  // size the reader can hold.
+  for (uint64_t chunk_size : {uint64_t{0}, (uint64_t{1} << 32) + 65536}) {
+    StreamReadOptions options;
+    options.chunk_size = chunk_size;
+    EXPECT_TRUE(
+        store_->OpenChunkReader(*id, options).status().IsInvalidArgument())
+        << chunk_size;
+    EXPECT_TRUE(ElementStream::Open(*store_, interp, "v", options)
+                    .status()
+                    .IsInvalidArgument())
+        << chunk_size;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStores, ChunkReaderContract,
@@ -309,15 +323,14 @@ TEST(PrefetcherTest, DeliversIdenticalBytesAcrossDepths) {
 
   ThreadPool pool(4);
   for (int depth : {0, 1, 4, 16}) {
-    ChunkReaderOptions reader_options;
-    reader_options.chunk_size = 1024;
-    auto reader = store.OpenChunkReader(*id, reader_options);
+    StreamReadOptions options;
+    options.chunk_size = 1024;
+    options.prefetch_depth = depth;
+    options.pool = depth == 0 ? nullptr : &pool;
+    auto reader = store.OpenChunkReader(*id, options);
     ASSERT_TRUE(reader.ok());
-    PrefetchOptions options;
-    options.depth = depth;
     std::vector<uint64_t> chunks = AllChunks(**reader);
-    AsyncPrefetcher prefetcher(std::move(*reader),
-                               depth == 0 ? nullptr : &pool, options,
+    AsyncPrefetcher prefetcher(std::move(*reader), options,
                                std::move(chunks));
     Bytes joined;
     while (!prefetcher.Done()) {
@@ -341,16 +354,15 @@ TEST(PrefetcherTest, TightByteBudgetStillCompletes) {
   ASSERT_TRUE(id.ok());
 
   ThreadPool pool(4);
-  ChunkReaderOptions reader_options;
-  reader_options.chunk_size = 512;
-  auto reader = store.OpenChunkReader(*id, reader_options);
-  ASSERT_TRUE(reader.ok());
-  PrefetchOptions options;
-  options.depth = 8;
+  StreamReadOptions options;
+  options.chunk_size = 512;
+  options.prefetch_depth = 8;
   options.max_inflight_bytes = 1;  // Every chunk exceeds the budget.
+  options.pool = &pool;
+  auto reader = store.OpenChunkReader(*id, options);
+  ASSERT_TRUE(reader.ok());
   std::vector<uint64_t> chunks = AllChunks(**reader);
-  AsyncPrefetcher prefetcher(std::move(*reader), &pool, options,
-                             std::move(chunks));
+  AsyncPrefetcher prefetcher(std::move(*reader), options, std::move(chunks));
   Bytes joined;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
@@ -366,16 +378,16 @@ TEST(PrefetcherTest, ReadErrorsSurfacePerChunk) {
   auto id = fault->PushAll(Pattern(4096));
   ASSERT_TRUE(id.ok());
 
-  ChunkReaderOptions reader_options;
-  reader_options.chunk_size = 1024;  // 4 chunks, no retries.
-  auto reader = fault->OpenChunkReader(*id, reader_options);
+  // 4 chunks, no retries, and synchronous mode (no pool) so exactly
+  // the first chunk read hits the fault.
+  StreamReadOptions options;
+  options.chunk_size = 1024;
+  auto reader = fault->OpenChunkReader(*id, options);
   ASSERT_TRUE(reader.ok());
   fault->FailNextReads(1);
 
-  // Synchronous mode so exactly the first chunk read hits the fault.
   std::vector<uint64_t> chunks = AllChunks(**reader);
-  AsyncPrefetcher prefetcher(std::move(*reader), nullptr, {},
-                             std::move(chunks));
+  AsyncPrefetcher prefetcher(std::move(*reader), options, std::move(chunks));
   int failures = 0, successes = 0;
   while (!prefetcher.Done()) {
     auto chunk = prefetcher.Next();
